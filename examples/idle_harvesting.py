@@ -41,7 +41,7 @@ def main() -> None:
         # everyone else demands 8 MB of headroom beyond the idleness test.
         prefs = PreferenceRules([never()]) if i == 7 else \
             PreferenceRules([min_available_memory(8 * MB)])
-        rmds.append(ResourceMonitor(sim, ws, cfg, cmd_host="mgr",
+        rmds.append(ResourceMonitor(sim, ws, cfg, shard_map=cmd.shard_map,
                                     preferences=prefs))
         owners.append(Owner(sim, ws, OwnerParams(
             active_mean_s=4 * 60.0, away_mean_s=8 * 60.0,

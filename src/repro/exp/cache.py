@@ -138,7 +138,7 @@ def _run_nondedicated_cell(cache_cfg: CacheConfig, seed: int,
         def region_cache(self, policy="lru", local_bytes=None,
                          runtime=None):
             rt = runtime or DodoRuntime(sim, self.app, cfg,
-                                        cmd_host="mgr")
+                                        shard_map=cmd.shard_map)
             return RegionCache(rt, local_bytes or p.local_cache,
                                policy=policy)
 

@@ -26,6 +26,7 @@ from repro.core.manager import CentralManager
 from repro.core.regionlib import RegionCache
 from repro.core.rmd import ResourceMonitor
 from repro.core.runtime import DodoRuntime
+from repro.core.shard import ShardMap
 from repro.metrics.report import format_table
 from repro.sim import Simulator
 from repro.storage.disk import DiskParams
@@ -78,10 +79,11 @@ def build_cluster(sim: Simulator, p: NonDedicatedParams, dodo: bool,
     rmds, owners = [], []
     cmd = None
     if dodo:
-        cmd = CentralManager(sim, cluster["mgr"], cfg)
+        shard_map = ShardMap.single("mgr")
+        cmd = CentralManager(sim, cluster["mgr"], cfg, shard_map=shard_map)
         for i in range(p.n_desktops):
             ws = cluster[f"w{i}"]
-            rmds.append(ResourceMonitor(sim, ws, cfg, cmd_host="mgr"))
+            rmds.append(ResourceMonitor(sim, ws, cfg, shard_map=shard_map))
             owners.append(Owner(sim, ws, OwnerParams(
                 active_mean_s=p.owner_active_mean_s,
                 away_mean_s=p.owner_away_mean_s,
@@ -112,7 +114,7 @@ def run_nondedicated(p: NonDedicatedParams | None = None) -> dict:
             def region_cache(self, policy="lru", local_bytes=None,
                              runtime=None):
                 rt = runtime or DodoRuntime(sim, self.app, cfg,
-                                            cmd_host="mgr")
+                                            shard_map=cmd.shard_map)
                 return RegionCache(rt, local_bytes or p.local_cache,
                                    policy=policy)
 

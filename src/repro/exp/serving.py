@@ -17,9 +17,11 @@ Everything reported is virtual-time-only and byte-identical for a given
 seed; ``jobs > 1`` fans points across worker processes via the sweep
 engine with identical results (asserted in CI's serving smoke).
 
-The 1-shard point runs the *same* sharded code path as the 8-shard one
-(same routing, replication and service-time machinery, a 1-entry hash
-ring) so the comparison isolates the shard count itself.
+Every point runs the same directory code; the 1-shard point is a
+1-entry hash ring that, like the 8-shard one, carries a backup and the
+modeled service time (so it queues verbs and ships its log exactly as
+the larger rings do), and the comparison isolates the shard count
+itself.
 """
 
 from __future__ import annotations

@@ -22,12 +22,12 @@ Scenarios:
 * ``"nondedicated"`` — the Section 5.3.1 desktop cluster with resource
   monitors and stochastic owners; faults land on top of the normal
   recruit/reclaim churn.
-* ``"failover"`` — the PR 9 sharded platform: a two-shard replicated
-  region directory, with ``manager_crash`` events drawn per shard so
-  the nemesis crashes shard primaries mid-workload and the backups
-  promote themselves (the manager hosts are protected from host-level
-  faults — directory loss is exercised through the crash/promote path,
-  not by nuking the node under it).
+* ``"failover"`` — a two-shard replicated region directory, with
+  ``manager_crash`` events drawn per shard so the nemesis crashes shard
+  primaries mid-workload and the backups promote themselves (the
+  manager hosts are protected from host-level faults — directory loss
+  is exercised through the crash/promote path, not by nuking the node
+  under it).
 
 The chaos configs enable the hardening this subsystem exists to
 exercise: exponential RPC backoff with jitter, imd heartbeat
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.exp.platform import ClusterTargets
 from repro.faults.generate import random_plan
 from repro.faults.nemesis import Nemesis
 from repro.faults.plan import FaultPlan
@@ -165,7 +166,7 @@ def _run_fig7(seed, plan, audit, horizon_s, eventlog_level,
             pattern="hotcold", dataset_bytes=2 * MB, req_size=8192,
             num_iter=3, compute_s=0.02))
         result = sim.run(until=runner.run())
-        _settle(sim, platform.config, plan)
+        _settle(sim, platform, plan)
         platform.audit(auditor, teardown=True)
         nem = platform.nemesis
         return {"plan": plan, "eventlog": log, "auditor": auditor,
@@ -216,7 +217,7 @@ def _run_failover(seed, plan, audit, horizon_s, eventlog_level,
             pattern="hotcold", dataset_bytes=2 * MB, req_size=8192,
             num_iter=3, compute_s=0.02))
         result = sim.run(until=runner.run())
-        _settle(sim, platform.config, plan)
+        _settle(sim, platform, plan)
         platform.audit(auditor, teardown=True)
         nem = platform.nemesis
         return {"plan": plan, "eventlog": log, "auditor": auditor,
@@ -274,7 +275,7 @@ def _run_nondedicated(seed, plan, audit, horizon_s,
             def region_cache(self, policy="lru", local_bytes=None,
                              runtime=None):
                 rt = runtime or DodoRuntime(sim, self.app, cfg,
-                                            cmd_host="mgr")
+                                            shard_map=targets.shard_map)
                 return RegionCache(rt, local_bytes or p.local_cache,
                                    policy=policy)
 
@@ -282,7 +283,7 @@ def _run_nondedicated(seed, plan, audit, horizon_s,
             pattern="hotcold", dataset_bytes=p.dataset_bytes,
             req_size=p.req_size, num_iter=3, compute_s=0.02))
         result = sim.run(until=runner.run())
-        _settle(sim, cfg, plan)
+        _settle(sim, targets, plan)
         targets.audit(auditor, teardown=True)
         return {"plan": plan, "eventlog": log, "auditor": auditor,
                 "result": result, "degraded": runner.degraded,
@@ -292,7 +293,7 @@ def _run_nondedicated(seed, plan, audit, horizon_s,
         install_eventlog(previous)
 
 
-class _NonDedicatedTargets:
+class _NonDedicatedTargets(ClusterTargets):
     """Platform-shaped adapter over the Section 5.3.1 cluster for the
     nemesis and the auditor.  ``imds`` accumulates every daemon the
     monitors ever fork (including ones later killed by a host crash) so
@@ -302,42 +303,29 @@ class _NonDedicatedTargets:
         self.sim = sim
         self.cluster = cluster
         self.config = config
-        self.cmd = cmd
         self.rmds = rmds
-        self.mgr = cluster["mgr"]
+        self.shard_map = cmd.shard_map
+        self.shard_managers = {cmd.shard_id: [cmd]}
         self.imds: list = []
 
-    def _scan_imds(self) -> None:
+    def audit(self, auditor=None, teardown: bool = True):
         seen = {id(i) for i in self.imds}
         for rmd in self.rmds:
             imd = rmd.imd
             if imd is not None and id(imd) not in seen:
                 self.imds.append(imd)
-
-    def audit(self, auditor=None, teardown: bool = True):
-        from repro.obs.audit import Auditor
-        auditor = auditor or Auditor(mode="warn")
-        self._scan_imds()
-        components = [("workstation", ws.name, ws)
-                      for ws in self.cluster.workstations.values()]
-        components += [("nic", ws.name, ws.nic)
-                       for ws in self.cluster.workstations.values()]
-        components.append(("network", "network", self.cluster.network))
-        if self.cmd is not None:
-            components.append(("manager", "cmd", self.cmd))
-        components += [("imd", imd.ws.name, imd) for imd in self.imds]
-        return auditor.audit_components(self.sim, components,
-                                        teardown=teardown)
+        return super().audit(auditor, teardown)
 
 
-def _settle(sim, config, plan: FaultPlan) -> None:
+def _settle(sim, targets, plan: FaultPlan) -> None:
     """Run past the last heal plus a grace period so lazily-propagated
     state (imd heartbeats, client re-attach) converges before the strict
     teardown audit."""
+    config = targets.config
     grace = 2.0 * max(config.imd_reregister_s, 1.0) + 1.0
-    if config.shards > 1 or config.replication:
-        # the sharded anti-entropy scrubber needs two full passes to
-        # reap a region orphaned moments before the workload ended
+    if not targets.shard_map.lone:
+        # the anti-entropy scrubber needs two full passes to reap a
+        # region orphaned moments before the workload ended
         grace += 2.0 * max(config.scrub_interval_s, 0.0) + 1.0
     until = max(sim.now, _plan_end(plan)) + grace
     sim.run(until=until)

@@ -64,7 +64,7 @@ def random_plan(seed: int,
     hosts, i.e. the app node's disk — the interesting one).
     ``shards`` (when set) makes each ``manager_crash`` target one
     randomly-drawn directory shard, with a per-shard busy map; leaving
-    it None keeps the classic single-manager schedule — and since the
+    it None keeps the single-manager schedule — and since the
     rng draw sequence is untouched in that case, pre-sharding plans
     regenerate byte-identically.
     """

@@ -18,9 +18,10 @@ kind                target                   value / group
 ``reclaim_storm``   host name                —  (owner activity for duration)
 ``disk_slowdown``   host name (with disk)    ``value`` = service-time factor
 ``manager_crash``   —                        ``shard`` = directory shard whose
-                                             primary is crashed (None = the
-                                             classic single manager; restarted
-                                             or failed over after ``duration_s``)
+                                             primary is crashed (None = shard
+                                             0, the paper's single manager;
+                                             restarted or failed over after
+                                             ``duration_s``)
 ==================  =======================  ==================================
 """
 
@@ -59,8 +60,9 @@ class FaultSpec:
     #: forms the other side)
     group: tuple = ()
     #: manager_crash only: which directory shard's primary to crash.
-    #: None targets the classic single manager — and is *omitted* from
-    #: the wire form, so pre-sharding plans replay byte-identically.
+    #: None targets shard 0 (the paper's single manager) — and is
+    #: *omitted* from the wire form, so pre-sharding plans replay
+    #: byte-identically.
     shard: Optional[int] = None
 
     def validate(self) -> None:

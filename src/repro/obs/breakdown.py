@@ -6,7 +6,8 @@ the runtime library, the network, the daemons and the disk.  This module
 reproduces that decomposition from a span trace.
 
 For every root span (each ``mread`` by default) the window ``[start,
-end]`` is swept over the elementary intervals induced by the boundaries
+end]`` is swept (:func:`sweep_window`, shared with the SLI critical
+path) over the elementary intervals induced by the boundaries
 of the root's *causal descendants* (children via span parent links,
 which cross both process spawns and the RPC wire).  Each interval is
 attributed to the *innermost* active descendant — the one that started
@@ -54,29 +55,44 @@ def layer_of(component: str) -> str:
     return COMPONENT_LAYER.get(component, component)
 
 
-def _window_layers(root: Span, inner: list[Span]) -> dict[str, float]:
-    """Sweep one root window; returns seconds per layer (sums to the
-    root's duration exactly)."""
+def sweep_window(root, inner: list, row_of, root_row: str):
+    """Attribute a root span's window over elementary intervals.
+
+    The window ``[root.start, root.end]`` is cut at every boundary of
+    the root's causal descendants ``inner`` (finished spans); each
+    interval goes to the *innermost* active descendant — the one that
+    started last, ties broken toward the shorter span — mapped through
+    ``row_of(component)``, and uncovered time goes to ``root_row``.
+    Returns ``(seconds per row, merged (t0, t1, row) segments)``; the
+    seconds sum to the root's duration exactly.  Both
+    :func:`fetch_breakdown` (paper layers) and the SLI collector's
+    per-request critical path (:mod:`repro.obs.slo.sli`, stages) are
+    this sweep.
+    """
     t0, t1 = root.start, root.end
     bounds = {t0, t1}
     for s in inner:
         bounds.add(min(max(s.start, t0), t1))
-        if s.end is not None:
-            bounds.add(min(max(s.end, t0), t1))
+        bounds.add(min(max(s.end, t0), t1))
     cuts = sorted(bounds)
-    acc: dict[str, float] = {}
+    rows: dict[str, float] = {}
+    segments: list[tuple[float, float, str]] = []
     for lo, hi in zip(cuts, cuts[1:]):
         if hi <= lo:
             continue
-        covering = [s for s in inner
-                    if s.start <= lo and s.end is not None and s.end >= hi]
+        covering = [s for s in inner if s.start <= lo and s.end >= hi]
         if covering:
             pick = max(covering, key=lambda s: (s.start, s.start - s.end))
-            layer = layer_of(pick.component)
+            row = row_of(pick.component)
         else:
-            layer = layer_of(root.component)
-        acc[layer] = acc.get(layer, 0.0) + (hi - lo)
-    return acc
+            row = root_row
+        rows[row] = rows.get(row, 0.0) + (hi - lo)
+        if segments and segments[-1][2] == row \
+                and segments[-1][1] == lo:
+            segments[-1] = (segments[-1][0], hi, row)
+        else:
+            segments.append((lo, hi, row))
+    return rows, segments
 
 
 def fetch_breakdown(spans: Iterable[Span],
@@ -103,7 +119,9 @@ def fetch_breakdown(spans: Iterable[Span],
                 frontier.append(child.span_id)
                 if child.end > root.start and child.start < root.end:
                     inner.append(child)
-        for layer, secs in _window_layers(root, inner).items():
+        layers, _ = sweep_window(root, inner, layer_of,
+                                 layer_of(root.component))
+        for layer, secs in layers.items():
             totals[layer] = totals.get(layer, 0.0) + secs
         whole += root.duration
     n = len(roots)

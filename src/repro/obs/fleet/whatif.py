@@ -291,6 +291,7 @@ def run_scenario(scenario: str, seed: int = 0,
 def _run_fig7(seed, policy: WhatIfPolicy, chaos, horizon_s,
               auditor) -> dict:
     from repro.exp.platform import Platform, PlatformParams
+    from repro.faults.chaos import _settle
     from repro.faults.generate import random_plan
     from repro.sim import Simulator
     from repro.workloads.synthetic import SyntheticParams
@@ -317,7 +318,7 @@ def _run_fig7(seed, policy: WhatIfPolicy, chaos, horizon_s,
         num_iter=3, compute_s=0.02), policy=policy.replacement)
     result = sim.run(until=runner.run())
     if plan is not None:
-        _settle(sim, config, plan)
+        _settle(sim, platform, plan)
     evictions = runner._inner.cache.stats.count("evictions")
     if auditor is not None and auditor.enabled:
         platform.audit(auditor, teardown=True)
@@ -359,7 +360,7 @@ def _run_nondedicated(seed, policy: WhatIfPolicy, chaos, horizon_s,
         sim, p, dodo=True, config=config)
     nemesis = None
     if plan is not None:
-        from repro.faults.chaos import _NonDedicatedTargets
+        from repro.faults.chaos import _NonDedicatedTargets, _settle
         targets = _NonDedicatedTargets(sim, cluster, cfg, cmd, rmds)
         nemesis = Nemesis(targets, plan, auditor=auditor)
         nemesis.start()
@@ -378,7 +379,7 @@ def _run_nondedicated(seed, policy: WhatIfPolicy, chaos, horizon_s,
         def region_cache(self, policy="lru", local_bytes=None,
                          runtime=None):
             rt = runtime or DodoRuntime(sim, self.app, cfg,
-                                        cmd_host="mgr")
+                                        shard_map=cmd.shard_map)
             return RegionCache(rt, local_bytes or p.local_cache,
                                policy=policy)
 
@@ -388,7 +389,7 @@ def _run_nondedicated(seed, policy: WhatIfPolicy, chaos, horizon_s,
         policy=policy.replacement)
     result = sim.run(until=runner.run())
     if plan is not None:
-        _settle(sim, cfg, plan)
+        _settle(sim, targets, plan)
     evictions = runner._inner.cache.stats.count("evictions")
     if auditor is not None and auditor.enabled and plan is not None:
         targets.audit(auditor, teardown=True)
@@ -403,12 +404,6 @@ def _scenario_config(base_kwargs: dict):
     from repro.core.config import DodoConfig
     return DodoConfig(rpc_backoff_s=0.02, rpc_backoff_jitter=0.25,
                       imd_reregister_s=2.0, **base_kwargs)
-
-
-def _settle(sim, config, plan) -> None:
-    from repro.faults.chaos import _plan_end
-    grace = 2.0 * max(config.imd_reregister_s, 1.0) + 1.0
-    sim.run(until=max(sim.now, _plan_end(plan)) + grace)
 
 
 _SCENARIOS = {"fig7": _run_fig7, "nondedicated": _run_nondedicated}

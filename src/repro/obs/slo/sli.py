@@ -5,8 +5,9 @@ fetch, RPC and bulk transfer as a span tree; this module turns each of
 those spans into a *request record* the moment it ends: virtual-time
 latency, an outcome class (``local`` / ``remote-imd`` / ``disk-fallback``
 / ``retried`` / ``failed``), and a **critical-path decomposition** — the
-same elementary-interval sweep as :mod:`repro.obs.breakdown`, run per
-request over the span's causal descendants and mapped to *stages*
+elementary-interval sweep of :func:`repro.obs.breakdown.sweep_window`,
+run per request over the span's causal descendants and mapped to
+*stages*
 (client code, manager, rpc wait, net transit, imd service, disk) so the
 per-stage blame table has the shape of the paper's Tables 3/4 at
 request granularity.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from repro.obs.breakdown import sweep_window
 from repro.obs.slo.sketch import LatencySketch
 
 #: tracer component -> request stage (anything unknown is client code)
@@ -183,40 +185,6 @@ class RunSli:
         self.requests = 0
 
 
-def _sweep(root, inner: list, root_stage: str):
-    """Attribute the root window to stages over elementary intervals.
-
-    Same attribution rule as :func:`repro.obs.breakdown._window_layers`
-    (innermost active causal descendant wins; uncovered time belongs to
-    the root), but also returns the merged per-stage *segments* so the
-    critical path can be rendered as a contiguous track.
-    """
-    t0, t1 = root.start, root.end
-    bounds = {t0, t1}
-    for s in inner:
-        bounds.add(min(max(s.start, t0), t1))
-        bounds.add(min(max(s.end, t0), t1))
-    cuts = sorted(bounds)
-    stages: dict[str, float] = {}
-    segments: list[tuple[float, float, str]] = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi <= lo:
-            continue
-        covering = [s for s in inner if s.start <= lo and s.end >= hi]
-        if covering:
-            pick = max(covering, key=lambda s: (s.start, s.start - s.end))
-            stage = stage_of(pick.component)
-        else:
-            stage = root_stage
-        stages[stage] = stages.get(stage, 0.0) + (hi - lo)
-        if segments and segments[-1][2] == stage \
-                and segments[-1][1] == lo:
-            segments[-1] = (segments[-1][0], hi, stage)
-        else:
-            segments.append((lo, hi, stage))
-    return stages, segments
-
-
 def _stage_rank(stage: str) -> int:
     try:
         return STAGE_ORDER.index(stage)
@@ -285,7 +253,7 @@ class SliCollector:
                         and child.start < span.end:
                     inner.append(child)
         root_stage = stage_of(span.component)
-        stages, segments = _sweep(span, inner, root_stage)
+        stages, segments = sweep_window(span, inner, stage_of, root_stage)
         if not stages:  # zero-duration request (e.g. an idle msync)
             stages = {root_stage: 0.0}
             segments = []
