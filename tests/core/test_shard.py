@@ -85,6 +85,21 @@ def test_default_shard_map_layout():
     assert default_shard_map(1).backup(0) is None
 
 
+def test_single_map_is_the_lone_paper_manager(monkeypatch):
+    m = ShardMap.single("mgr")
+    assert m.lone and m.n_shards == 1 and m.primary(0) == "mgr"
+    assert default_shard_map(1) == m
+    assert not default_shard_map(1, replication=True).lone
+    assert not default_shard_map(2).lone
+    # a one-shard map owns every key without hashing it
+    import repro.core.shard as shard
+
+    def no_hashing(text):
+        raise AssertionError(f"hashed {text!r}")
+    monkeypatch.setattr(shard, "stable_hash", no_hashing)
+    assert all(m.owner_of(k) == 0 for k in keys(50))
+
+
 def test_promoted_bumps_version_and_repoints_one_shard():
     m = default_shard_map(2, replication=True)
     m2 = m.promoted(0, "bak00", None)
