@@ -10,6 +10,7 @@ from repro.cluster import (MB, PreferenceRules, TABLE1, TraceParams,
 from repro.cluster.idleness import IdlePolicy
 from repro.cluster.cluster import Cluster, ClusterConfig, HostSpec
 from repro.core import CentralManager, DodoConfig, ResourceMonitor
+from repro.core.shard import ShardMap
 from repro.net import Network
 from repro.sim import Simulator
 
@@ -100,7 +101,8 @@ def build_monitored(sim, preferences, window_s=5.0):
     cfg = DodoConfig(store_payload=False, max_pool_bytes=4 * MB,
                      idle_policy=IdlePolicy(window_s=window_s))
     CentralManager(sim, cluster["mgr"], cfg)
-    rmd = ResourceMonitor(sim, cluster["w0"], cfg, cmd_host="mgr",
+    rmd = ResourceMonitor(sim, cluster["w0"], cfg,
+                          shard_map=ShardMap.single("mgr"),
                           preferences=preferences)
     return cluster, rmd
 
@@ -184,7 +186,8 @@ def test_trace_driven_recruitment_end_to_end(sim):
     cfg = DodoConfig(store_payload=False, max_pool_bytes=8 * MB,
                      idle_policy=IdlePolicy(window_s=10.0))
     CentralManager(sim, cluster["mgr"], cfg)
-    rmd = ResourceMonitor(sim, cluster["w0"], cfg, cmd_host="mgr")
+    rmd = ResourceMonitor(sim, cluster["w0"], cfg,
+                          shard_map=ShardMap.single("mgr"))
     rng = np.random.default_rng(57)
     trace = generate_host_trace(
         rng, "h", TABLE1[128],

@@ -17,6 +17,7 @@ from repro.cluster import (MB, Owner, OwnerParams, TABLE1, TraceParams,
 from repro.cluster.cluster import Cluster, ClusterConfig, HostSpec
 from repro.cluster.idleness import IdlePolicy
 from repro.core import CentralManager, DodoConfig, ResourceMonitor
+from repro.core.shard import ShardMap
 from repro.net import Network
 from repro.sim import Simulator
 
@@ -216,7 +217,8 @@ def test_recruitment_identical_under_lazy_replay(trace):
         cfg = DodoConfig(store_payload=False, max_pool_bytes=8 * MB,
                          idle_policy=IdlePolicy(window_s=10.0))
         CentralManager(sim, cluster["mgr"], cfg)
-        rmd = ResourceMonitor(sim, cluster["w0"], cfg, cmd_host="mgr")
+        rmd = ResourceMonitor(sim, cluster["w0"], cfg,
+                              shard_map=ShardMap.single("mgr"))
         TraceReplayer(sim, cluster["w0"], trace, speedup=60.0, lazy=lazy)
         sim.run(until=130.0)
         return dict(rmd.stats.counters)

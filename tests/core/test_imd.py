@@ -131,3 +131,16 @@ def test_metadata_mode_has_no_pool_bytes(sim):
     assert imd.pool is None
     r = imd._h_alloc({"size": 4096}, ("c", 1))
     assert r["ok"]  # allocation bookkeeping still works
+
+
+def test_standalone_imd_never_registers(sim):
+    """Without a shard map the daemon has no directory: register() is
+    refused up front and the re-registration heartbeat never starts."""
+    net = Network(sim)
+    ws = Workstation(sim, "h", net, total_mem_bytes=128 * MB)
+    cfg = DodoConfig(imd_reregister_s=0.5)
+    imd = IdleMemoryDaemon(sim, ws, cfg, epoch=1, pool_bytes=4 * MB)
+    assert imd._reregister is None
+    with pytest.raises(ValueError, match="standalone"):
+        imd.register()
+    sim.run(until=2.0)  # heartbeat-free: nothing fails in the sim

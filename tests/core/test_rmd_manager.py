@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import MB, Owner, OwnerParams
 from repro.cluster.idleness import IdlePolicy
 from repro.core import CentralManager, DodoConfig, ResourceMonitor
+from repro.core.shard import ShardMap
 from repro.cluster.cluster import Cluster, ClusterConfig, HostSpec
 from repro.sim import Simulator
 
@@ -19,7 +20,8 @@ def build(sim, n_hosts=2, dedicated=False, store_payload=False):
     hosts = [HostSpec("mgr")] + [HostSpec(f"w{i}") for i in range(n_hosts)]
     cluster = Cluster(sim, ClusterConfig(hosts=hosts))
     cmd = CentralManager(sim, cluster["mgr"], cfg)
-    rmds = [ResourceMonitor(sim, cluster[f"w{i}"], cfg, cmd_host="mgr")
+    rmds = [ResourceMonitor(sim, cluster[f"w{i}"], cfg,
+                            shard_map=ShardMap.single("mgr"))
             for i in range(n_hosts)]
     return cluster, cfg, cmd, rmds
 
@@ -110,12 +112,14 @@ def test_stale_region_detected_by_epoch(tmp_path):
              HostSpec("w0")]
     cluster = Cluster(sim, ClusterConfig(hosts=hosts))
     cmd = CentralManager(sim, cluster["mgr"], cfg)
-    rmd = ResourceMonitor(sim, cluster["w0"], cfg, cmd_host="mgr")
+    rmd = ResourceMonitor(sim, cluster["w0"], cfg,
+                          shard_map=ShardMap.single("mgr"))
     sim.run(until=15.0)
     assert rmd.recruited
 
     from repro.core import DodoRuntime, ENOMEM
-    lib = DodoRuntime(sim, cluster["app"], cfg, cmd_host="mgr")
+    lib = DodoRuntime(sim, cluster["app"], cfg,
+                      shard_map=ShardMap.single("mgr"))
     fs = cluster["app"].fs
     fs.create("data", size=1 * MB)
     fd = fs.open("data", "r+").fd

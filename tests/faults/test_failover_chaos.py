@@ -105,7 +105,7 @@ def test_serving_rides_through_failover_with_bounded_retries():
 
     def crash():
         yield sim.timeout(1.5)  # mid-stream, after the load phase
-        platform.cmds[0].stop()
+        platform.live_primary(0).stop()
 
     sim.process(crash())
     sim.run(until=sim.process(tier.run()))
