@@ -10,6 +10,7 @@ import pytest
 from repro.net import recv_bulk, send_bulk
 from repro.sim import Simulator
 
+from repro.core.config import DodoConfig
 from repro.exp.platform import Platform, PlatformParams
 
 MB = 1024 * 1024
@@ -18,10 +19,9 @@ MB = 1024 * 1024
 def remote_read_latency(transport: str, size: int) -> float:
     """Virtual-time latency of one warm mread of ``size`` bytes."""
     sim = Simulator(seed=2)
-    params = PlatformParams(transport=transport, store_payload=False,
-                            n_memory_hosts=1,
-                            imd_pool_bytes=4 * MB).scaled(1.0)
-    platform = Platform(sim, params, dodo=True)
+    params = PlatformParams(n_memory_hosts=1, imd_pool_bytes=4 * MB)
+    platform = Platform(sim, params, dodo=True, config=DodoConfig(
+        transport=transport, store_payload=False))
     lib = platform.runtime()
     fs = platform.app.fs
     fs.create("f", size=2 * MB)

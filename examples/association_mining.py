@@ -13,6 +13,7 @@ Run:  python examples/association_mining.py
 
 import numpy as np
 
+from repro.core import DodoConfig
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.sim import Simulator
 from repro.storage.filesystem import FsParams
@@ -80,11 +81,11 @@ def main() -> None:
 
     sim = Simulator(seed=3)
     platform = Platform(sim, PlatformParams(
-        transport="unet", store_payload=True, n_memory_hosts=4,
-        imd_pool_bytes=2 * MB, local_cache_bytes=256 * 1024,
-        app_fs_cache_dodo=256 * 1024, disk_capacity_bytes=256 * MB,
+        n_memory_hosts=4, imd_pool_bytes=2 * MB,
+        local_cache_bytes=256 * 1024, app_fs_cache_dodo=256 * 1024,
+        disk_capacity_bytes=256 * MB,
         fs_params=FsParams(extent_bytes=BLOCK_SIZE, scatter=True)),
-        dodo=True)
+        dodo=True, config=DodoConfig(transport="unet"))
     fs = platform.app.fs
     fs.create("retail", size=len(data))
     fh = fs.open("retail", "r+")

@@ -13,6 +13,7 @@ Run:  python examples/out_of_core_lu.py
 
 import numpy as np
 
+from repro.core import DodoConfig
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.sim import Simulator
 from repro.workloads import (LuParams, OutOfCoreLU, make_test_matrix,
@@ -22,10 +23,10 @@ from repro.workloads import (LuParams, OutOfCoreLU, make_test_matrix,
 def factor_once(use_dodo: bool, a: np.ndarray, params: LuParams):
     sim = Simulator(seed=2)
     platform = Platform(sim, PlatformParams(
-        transport="unet", store_payload=True, n_memory_hosts=4,
-        imd_pool_bytes=2 * MB, local_cache_bytes=96 * 1024,
-        app_fs_cache_dodo=128 * 1024, app_fs_cache_baseline=224 * 1024,
-        disk_capacity_bytes=256 * MB), dodo=True)
+        n_memory_hosts=4, imd_pool_bytes=2 * MB,
+        local_cache_bytes=96 * 1024, app_fs_cache_dodo=128 * 1024,
+        app_fs_cache_baseline=224 * 1024, disk_capacity_bytes=256 * MB),
+        dodo=True, config=DodoConfig(transport="unet"))
     ooc = OutOfCoreLU(platform, params, use_dodo=use_dodo,
                       policy="first-in")
 

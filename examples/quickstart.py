@@ -10,6 +10,7 @@ that ``yield from``s the library calls.
 Run:  python examples/quickstart.py
 """
 
+from repro.core import DodoConfig
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.sim import Simulator
 
@@ -18,10 +19,11 @@ def main() -> None:
     sim = Simulator(seed=1)
     # 4 memory hosts donating 4 MB each; real payload bytes end to end.
     params = PlatformParams(
-        transport="udp", store_payload=True, n_memory_hosts=4,
-        imd_pool_bytes=4 * MB, local_cache_bytes=1 * MB,
+        n_memory_hosts=4, imd_pool_bytes=4 * MB, local_cache_bytes=1 * MB,
         app_fs_cache_dodo=1 * MB, disk_capacity_bytes=256 * MB)
-    platform = Platform(sim, params, dodo=True)
+    # every Dodo setting lives in the config: UDP, real payload bytes
+    config = DodoConfig(transport="udp", store_payload=True)
+    platform = Platform(sim, params, dodo=True, config=config)
     lib = platform.runtime()
 
     # Dodo regions are backed by a file: open it first (mopen needs a

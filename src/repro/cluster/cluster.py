@@ -41,9 +41,6 @@ class ClusterConfig:
     frame_loss_prob: float = 0.0
     #: carry real payload bytes through disks and memory regions
     store_data: bool = False
-    #: engage the flow-level datagram fast path (timing-identical; False
-    #: forces every datagram through the packet-by-packet simulation)
-    dgram_fastpath: bool = True
 
     @classmethod
     def uniform(cls, n: int, prefix: str = "ws", **host_kwargs) -> "ClusterConfig":
@@ -60,7 +57,6 @@ class Cluster:
         self.sim = sim
         self.config = config
         self.network = Network(sim, config.link)
-        self.network.dgram_fastpath = config.dgram_fastpath
         self.workstations: dict[str, Workstation] = {}
         for spec in config.hosts:
             if spec.name in self.workstations:

@@ -7,7 +7,7 @@ threshold, five-minute idle window, 100 MB imd pools in the evaluation,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cluster.idleness import IdlePolicy
 from repro.net.bulk import BulkParams
@@ -201,11 +201,10 @@ class DodoConfig:
     dedicated: bool = False
 
     # -- bulk transfer ---------------------------------------------------------------
+    #: bulk-transfer parameters; ``bulk.fastpath`` switches the
+    #: flow-level fast path (docs/PERFORMANCE.md): simulated timing is
+    #: identical either way, only the simulator events spent change
     bulk: BulkParams = field(default_factory=BulkParams)
-    #: master switch for the flow-level bulk fast path (see
-    #: docs/PERFORMANCE.md); simulated timing is identical either way,
-    #: only the number of simulator events spent computing it changes
-    bulk_fastpath: bool = True
 
     def __post_init__(self):
         """Reject unknown placement names at construction time — the
@@ -214,10 +213,3 @@ class DodoConfig:
             raise ValueError(
                 f"unknown placement {self.placement!r}; choose from "
                 f"{sorted(PLACEMENTS)}")
-
-    def bulk_params(self) -> BulkParams:
-        """Effective bulk parameters: ``bulk`` with the system-wide
-        ``bulk_fastpath`` switch applied."""
-        if self.bulk.fastpath == self.bulk_fastpath:
-            return self.bulk
-        return replace(self.bulk, fastpath=self.bulk_fastpath)

@@ -532,7 +532,7 @@ class IdleMemoryDaemon:
             try:
                 yield self.sim.process(send_bulk(
                     sock, (src[0], int(args["reply_port"])), length,
-                    data=data, params=self.config.bulk_params(),
+                    data=data, params=self.config.bulk,
                     window=args.get("window")))
             finally:
                 sock.close()
@@ -573,7 +573,7 @@ class IdleMemoryDaemon:
             if tracer.enabled else None
         try:
             result = yield self.sim.process(recv_bulk(
-                sock, first_timeout=2.0, params=self.config.bulk_params(),
+                sock, first_timeout=2.0, params=self.config.bulk,
                 close_socket=True, pregranted=True))
             if result is None:
                 self.stats.add("write_aborts")
@@ -623,7 +623,7 @@ class IdleMemoryDaemon:
             try:
                 yield self.sim.process(send_bulk(
                     sock, (str(args["dest_host"]), int(args["data_port"])),
-                    length, data=data, params=self.config.bulk_params(),
+                    length, data=data, params=self.config.bulk,
                     window=args.get("window")))
             finally:
                 sock.close()

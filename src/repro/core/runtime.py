@@ -352,7 +352,7 @@ class DodoRuntime:
                 recvbuf=self.config.data_recvbuf_bytes)
             receiver = self.sim.process(recv_bulk(
                 reply_sock, first_timeout=self._transfer_timeout(length),
-                params=self.config.bulk_params(), close_socket=True, pregranted=True))
+                params=self.config.bulk, close_socket=True, pregranted=True))
             # The read request carries our receive-buffer grant, so the imd
             # blasts without a separate negotiation round-trip.  The RPC
             # reply only matters on the failure path (bad region / daemon
@@ -483,7 +483,7 @@ class DodoRuntime:
             try:
                 yield self.sim.process(send_bulk(
                     sock, (struct.host, int(reply["data_port"])), length,
-                    data=data, params=self.config.bulk_params(),
+                    data=data, params=self.config.bulk,
                     window=reply.get("window")))
             finally:
                 sock.close()

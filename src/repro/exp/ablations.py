@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.allocator import make_allocator
+from repro.core.config import DodoConfig
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.metrics.report import format_table
 from repro.net.bulk import recv_bulk, send_bulk
@@ -94,11 +95,9 @@ def run_refraction_ablation(scale: float = 1 / 128,
     out = {}
     for refraction_s in (0.0, 2.0):
         sim = Simulator(seed=seed)
-        params = PlatformParams(store_payload=False).scaled(scale)
-        platform = Platform(sim, params, dodo=True)
-        # shrink the refraction period through a tweaked config
-        object.__setattr__(platform.config, "refraction_period_s",
-                           refraction_s)
+        params = PlatformParams().scaled(scale)
+        platform = Platform(sim, params, dodo=True, config=DodoConfig(
+            store_payload=False, refraction_period_s=refraction_s))
         dataset = 2 * platform.remote_pool_total
         dataset -= dataset % 8192
         sp = SyntheticParams(pattern="random", dataset_bytes=dataset,
@@ -141,7 +140,7 @@ def run_policy_ablation(scale: float = 1 / 128, seed: int = 5) -> dict:
     out = {}
     for policy in ("lru", "mru", "first-in"):
         sim = Simulator(seed=seed)
-        params = PlatformParams(store_payload=False).scaled(scale)
+        params = PlatformParams().scaled(scale)
         dataset = 4 * params.local_cache_bytes
         dataset -= dataset % 8192
         from dataclasses import replace
@@ -187,7 +186,7 @@ def run_prefetch_ablation(scale: float = 1 / 128, seed: int = 7,
     out = {}
     for prefetch in (0, 2):
         sim = Simulator(seed=seed)
-        params = PlatformParams(store_payload=False).scaled(scale)
+        params = PlatformParams().scaled(scale)
         platform = Platform(sim, params, dodo=True)
         cache = RegionCache(platform.runtime(), params.local_cache_bytes,
                             policy="lru", prefetch_regions=prefetch)

@@ -28,11 +28,8 @@ through the sweep engine instead: ``repro sweep cache-ablation``.
 
 from __future__ import annotations
 
-from repro.cluster.idleness import IdlePolicy
 from repro.core.config import CacheConfig, DodoConfig
-from repro.core.regionlib import RegionCache
-from repro.core.runtime import DodoRuntime
-from repro.exp.nondedicated import NonDedicatedParams, build_cluster
+from repro.exp.nondedicated import DesktopCluster, NonDedicatedParams
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.metrics.report import format_table
 from repro.sim import Simulator
@@ -99,59 +96,19 @@ def _run_nondedicated_cell(cache_cfg: CacheConfig, seed: int,
     p = NonDedicatedParams(idle_window_s=10.0, owner_active_mean_s=20.0,
                            owner_away_mean_s=80.0, seed=seed)
     sim = Simulator(seed=seed)
-    cfg = DodoConfig(transport=p.transport, store_payload=False,
-                     dedicated=False, max_pool_bytes=p.max_pool,
-                     idle_policy=IdlePolicy(window_s=p.idle_window_s),
-                     cache=cache_cfg)
-    cluster, cfg, cmd, rmds, owners = build_cluster(sim, p, dodo=True,
-                                                    config=cfg)
-
-    # Monitors fork a fresh imd every time a desktop re-idles; poll them
-    # so counters of dead incarnations (recorders outlive their daemon)
-    # still land in the totals.
-    imds: list = []
-    seen: set[int] = set()
-
-    def _scan() -> None:
-        for rmd in rmds:
-            daemon = rmd.imd
-            if daemon is not None and id(daemon) not in seen:
-                seen.add(id(daemon))
-                imds.append(daemon)
-
-    def _track():
-        while True:
-            _scan()
-            yield sim.timeout(1.0)
-
-    sim.process(_track())
+    cluster = DesktopCluster(sim, p, config=p.dodo_config(cache=cache_cfg))
     sim.run(until=p.idle_window_s + 5.0)  # initial recruitment
-
-    class _Plat:  # adapter matching what SyntheticRunner expects
-        def __init__(self):
-            self.sim = sim
-            self.app = cluster["app"]
-            self.params = type("P", (), {
-                "local_cache_bytes": p.local_cache})()
-            self.config = cfg
-
-        def region_cache(self, policy="lru", local_bytes=None,
-                         runtime=None):
-            rt = runtime or DodoRuntime(sim, self.app, cfg,
-                                        shard_map=cmd.shard_map)
-            return RegionCache(rt, local_bytes or p.local_cache,
-                               policy=policy)
-
     sp = SyntheticParams(pattern="hotcold", dataset_bytes=p.dataset_bytes,
                          req_size=p.req_size, num_iter=num_iter,
                          compute_s=0.002)
-    runner = SyntheticRunner(_Plat(), sp, use_dodo=True,
+    runner = SyntheticRunner(cluster, sp, use_dodo=True,
                              region_bytes=REGION_BYTES)
     res = sim.run(until=runner.run())
-    _scan()
-    out = _collect(cache_cfg, "nondedicated", seed, res, runner, cmd, imds)
-    out["reclaims"] = int(sum(r.stats.count("reclaims") for r in rmds))
-    out["recruits"] = int(sum(r.stats.count("recruits") for r in rmds))
+    out = _collect(cache_cfg, "nondedicated", seed, res, runner, cluster)
+    out["reclaims"] = int(sum(r.stats.count("reclaims")
+                              for r in cluster.rmds))
+    out["recruits"] = int(sum(r.stats.count("recruits")
+                              for r in cluster.rmds))
     return out
 
 
@@ -161,32 +118,30 @@ def _run_fig7_cell(cache_cfg: CacheConfig, seed: int,
     3 MB of remote pool + 0.5 MB of local cache, so clones evict."""
     sim = Simulator(seed=seed)
     params = PlatformParams(
-        transport="udp", store_payload=False, n_memory_hosts=3,
-        imd_pool_bytes=1 * MB, local_cache_bytes=512 * 1024,
-        app_fs_cache_dodo=256 * 1024, app_fs_cache_baseline=2 * MB,
-        disk_capacity_bytes=64 * MB)
-    cfg = DodoConfig(transport="udp", store_payload=False, dedicated=True,
-                     max_pool_bytes=params.imd_pool_bytes,
-                     cache=cache_cfg)
-    platform = Platform(sim, params, dodo=True, config=cfg)
+        n_memory_hosts=3, imd_pool_bytes=1 * MB,
+        local_cache_bytes=512 * 1024, app_fs_cache_dodo=256 * 1024,
+        app_fs_cache_baseline=2 * MB, disk_capacity_bytes=64 * MB)
+    platform = Platform(sim, params, dodo=True, config=DodoConfig(
+        store_payload=False, cache=cache_cfg))
     sp = SyntheticParams(pattern="hotcold", dataset_bytes=4 * MB,
                          req_size=8192, num_iter=num_iter,
                          compute_s=0.002)
     runner = SyntheticRunner(platform, sp, use_dodo=True,
                              region_bytes=REGION_BYTES)
     res = sim.run(until=runner.run())
-    out = _collect(cache_cfg, "fig7", seed, res, runner, platform.cmd,
-                   platform.imds)
+    out = _collect(cache_cfg, "fig7", seed, res, runner, platform)
     out["reclaims"] = 0
     out["recruits"] = 0
     return out
 
 
 def _collect(cache_cfg: CacheConfig, workload: str, seed: int, res,
-             runner, cmd, imds: list) -> dict:
-    """Reduce one cell's component stats to a flat JSON-safe dict."""
+             runner, testbed) -> dict:
+    """Reduce one cell's component stats to a flat JSON-safe dict
+    (imd counters summed over every daemon the testbed started)."""
     cs = runner.cache.stats
-    ms = cmd.stats
+    ms = testbed.cmd.stats
+    imds = testbed.imds
     return {
         "workload": workload,
         "policy": cache_cfg.policy,

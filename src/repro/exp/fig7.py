@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+from repro.core.config import DodoConfig
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.metrics.report import format_table
+from repro.net.bulk import BulkParams
 from repro.sim import Simulator
 from repro.storage.filesystem import FsParams
 from repro.workloads.app import TraceRunner
@@ -63,6 +65,8 @@ def run_lu(transport: str, scale: float = 1 / 64, seed: int = 7,
     (the perf-smoke harness uses the pair to measure wall-clock gain).
     """
     params = lu_params_for_scale(scale)
+    config = DodoConfig(transport=transport, store_payload=False,
+                        bulk=BulkParams(fastpath=bulk_fastpath))
 
     def build(dodo: bool) -> Platform:
         sim = Simulator(seed=seed)
@@ -70,11 +74,9 @@ def run_lu(transport: str, scale: float = 1 / 64, seed: int = 7,
         # in different files, so every slab read pays a seek.  We model
         # that striping as slab-granular extents scattered over the disk.
         p = PlatformParams(
-            transport=transport, store_payload=False,
-            bulk_fastpath=bulk_fastpath,
             fs_params=FsParams(extent_bytes=params.slab_bytes,
                                scatter=True)).scaled(scale)
-        return Platform(sim, p, dodo=dodo)
+        return Platform(sim, p, dodo=dodo, config=config)
 
     # -- calibration: measure pure I/O time of the baseline trace ----------
     platform = build(False)
@@ -131,9 +133,9 @@ def run_dmine(transport: str, scale: float = 1 / 16, n_passes: int = 3,
 
     # -- baseline: each run is a fresh process reading through the FS ------
     sim = Simulator(seed=seed)
-    p = PlatformParams(transport=transport, store_payload=False,
-                       fs_params=fsp).scaled(scale)
-    platform = Platform(sim, p, dodo=False)
+    p = PlatformParams(fs_params=fsp).scaled(scale)
+    config = DodoConfig(transport=transport, store_payload=False)
+    platform = Platform(sim, p, dodo=False, config=config)
     baseline_runs = []
     for _ in range(n_runs):
         runner = TraceRunner(platform, trace(), dataset, use_dodo=False,
@@ -142,7 +144,7 @@ def run_dmine(transport: str, scale: float = 1 / 16, n_passes: int = 3,
 
     # -- Dodo: one platform, persistent regions across runs ----------------
     sim = Simulator(seed=seed)
-    platform = Platform(sim, p, dodo=True)
+    platform = Platform(sim, p, dodo=True, config=config)
     dodo_runs = []
     for _ in range(n_runs):
         cache = platform.region_cache(policy="first-in")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.config import DodoConfig
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.metrics.report import format_table
 from repro.sim import Simulator
@@ -51,9 +52,10 @@ def run_point(point: Fig8Point, scale: float = 1 / 64, num_iter: int = 4,
     results = {}
     for use_dodo in (False, True):
         sim = Simulator(seed=seed)
-        params = PlatformParams(
-            transport=point.transport, store_payload=False).scaled(scale)
-        platform = Platform(sim, params, dodo=use_dodo)
+        platform = Platform(sim, PlatformParams().scaled(scale),
+                            dodo=use_dodo, config=DodoConfig(
+                                transport=point.transport,
+                                store_payload=False))
         sp = SyntheticParams(pattern=point.pattern,
                              dataset_bytes=dataset,
                              req_size=point.req_size, num_iter=num_iter)

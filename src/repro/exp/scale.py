@@ -25,6 +25,7 @@ import resource
 import time
 
 from repro.cluster.owner import Owner, OwnerParams
+from repro.core.config import DodoConfig
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.metrics.report import format_table
 from repro.sim import Simulator
@@ -60,13 +61,13 @@ def run_scale(n_hosts: int = 1000, seed: int = 11, pattern: str = "hotcold",
     t0 = time.perf_counter()
     sim = Simulator(seed=seed)
     params = PlatformParams(
-        transport=transport, store_payload=False,
         n_memory_hosts=n_hosts - 2,
         imd_pool_bytes=pool_kb_per_host * 1024,
         local_cache_bytes=local_cache_mb * MB,
         app_fs_cache_dodo=2 * MB,
         disk_capacity_bytes=64 * MB)
-    platform = Platform(sim, params, dodo=True)
+    platform = Platform(sim, params, dodo=True, config=DodoConfig(
+        transport=transport, store_payload=False))
     if owners:
         for i in range(params.n_memory_hosts):
             Owner(sim, platform.cluster[f"mem{i:02d}"],

@@ -26,6 +26,7 @@ itself.
 
 from __future__ import annotations
 
+from repro.core.config import DodoConfig
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.metrics.report import format_table
 from repro.sim import Simulator
@@ -47,13 +48,12 @@ def run_serving(n_shards: int = 1, replication: bool = True,
     sim = Simulator(seed=seed)
     pool = 2 * ((n_keys * value_bytes) // max(n_memory_hosts, 1))
     params = PlatformParams(
-        transport="udp", store_payload=False,
         n_memory_hosts=n_memory_hosts, imd_pool_bytes=pool,
         local_cache_bytes=512 * 1024, app_fs_cache_dodo=1 * MB,
-        disk_capacity_bytes=max(64 * MB, 2 * n_keys * value_bytes),
-        shards=n_shards, replication=replication,
-        mgr_service_s=mgr_service_s)
-    platform = Platform(sim, params, dodo=True)
+        disk_capacity_bytes=max(64 * MB, 2 * n_keys * value_bytes))
+    platform = Platform(sim, params, dodo=True, config=DodoConfig(
+        store_payload=False, shards=n_shards, replication=replication,
+        mgr_service_s=mgr_service_s))
     tier = ServingTier(platform, ServingParams(
         n_keys=n_keys, value_bytes=value_bytes, zipf_s=zipf_s,
         arrival_rate=arrival_rate, duration_s=duration_s,

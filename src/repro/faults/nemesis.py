@@ -13,13 +13,13 @@ pass runs after every injection and heal — in ``raise`` mode a chaos
 run therefore fails at the *first* moment the system's cross-component
 state diverges, not at teardown.
 
-The nemesis drives anything platform-shaped: it needs ``sim``,
-``cluster`` (name-indexable, with ``.network``), ``config``, and for
-manager/imd faults ``shard_map``, ``shard_managers`` (shard id -> every
-manager ever started for it, appendable), ``live_primary(shard)`` and
-``imds`` (appendable).  Both :class:`repro.exp.platform.Platform` and
-the non-dedicated chaos adapter satisfy this (via
-:class:`repro.exp.platform.ClusterTargets`).
+The nemesis drives either testbed, both a
+:class:`repro.exp.platform.ClusterTargets`: the dedicated
+:class:`repro.exp.platform.Platform` and the desktop
+:class:`repro.exp.nondedicated.DesktopCluster`.  Where the testbed has
+resource monitors (``rmds``) they recruit and reclaim; where it has
+none, the nemesis reclaims and restarts imds itself, through
+``Platform.start_imd``.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class Nemesis:
         if ws.crashed:
             return None
         had_imd = any(imd.ws is ws and not imd.exited
-                      for imd in getattr(self.targets, "imds", ()))
+                      for imd in self.targets.imds)
         ws.crash()
         yield self.sim.timeout(0)
 
@@ -127,23 +127,16 @@ class Nemesis:
             # on a dedicated platform there is no rmd to re-recruit the
             # host, so the nemesis models the reboot's fresh imd itself;
             # with rmds present they notice the dead imd and resync
-            if had_imd and not getattr(self.targets, "rmds", None):
+            if had_imd and not self.targets.rmds:
                 return self._respawn_imd(ws)
             return None
         return heal
 
     def _respawn_imd(self, ws):
-        from repro.core.imd import IdleMemoryDaemon
         dead_epochs = [imd.epoch for imd in self.targets.imds
                        if imd.ws is ws]
         epoch = max(dead_epochs, default=0) + 1
-        params = getattr(self.targets, "params", None)
-        imd = IdleMemoryDaemon(
-            self.sim, ws, self.targets.config, epoch=epoch,
-            pool_bytes=getattr(params, "imd_pool_bytes", None),
-            allocator_kind=getattr(params, "allocator_kind", "first-fit"),
-            shard_map=self.targets.shard_map)
-        self.targets.imds.append(imd)
+        imd = self.targets.start_imd(ws, epoch)
         self.stats.add("imd_respawns")
         yield imd.register()
 
@@ -203,8 +196,8 @@ class Nemesis:
             return None
         ws.touch_console()
         ws.owner_load += 1.0
-        if not getattr(self.targets, "rmds", None):
-            victim = next((imd for imd in getattr(self.targets, "imds", ())
+        if not self.targets.rmds:
+            victim = next((imd for imd in self.targets.imds
                            if imd.ws is ws and not imd.exited), None)
             if victim is not None:
                 # mirror the rmd's reclaim protocol: tell the manager the
@@ -216,8 +209,7 @@ class Nemesis:
 
         def heal():
             ws.owner_load = max(0.0, ws.owner_load - 1.0)
-            if not getattr(self.targets, "rmds", None) \
-                    and not ws.crashed:
+            if not self.targets.rmds and not ws.crashed:
                 return self._respawn_imd(ws)
             return None
         return heal

@@ -1,10 +1,9 @@
 """Shared test scaffolding: tiny platforms and networks, importable.
 
 These helpers used to live (duplicated) in ``tests/core/conftest.py``
-and ``tests/net/conftest.py``.  They are part of the package so tests,
-benchmarks, and the chaos harness (:mod:`repro.faults.chaos`) can all
-build the same scaled-down clusters without reaching into test
-packages:
+and ``tests/net/conftest.py``.  They are part of the package so tests
+and benchmarks can build the same scaled-down clusters without reaching
+into test packages:
 
 * :func:`make_platform` — a 3-host functional Dodo platform;
 * :func:`run` — drive one generator process to completion;
@@ -19,6 +18,7 @@ no helper draws randomness of its own.
 
 from __future__ import annotations
 
+from repro.core.config import DodoConfig
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.net import NIC, Network, TransportEndpoint, transport_params
 
@@ -26,25 +26,23 @@ __all__ = ["MB", "TinyNet", "make_backing_file", "make_net",
            "make_platform", "run"]
 
 
-def make_platform(sim, *, transport="udp", n_hosts=3, pool_mb=2,
-                  local_cache_kb=256, store_payload=True, loss=0.0,
-                  dodo=True, allocator="first-fit", config=None,
+def make_platform(sim, *, n_hosts=3, pool_mb=2, local_cache_kb=256,
+                  loss=0.0, dodo=True, allocator="first-fit", config=None,
                   faults=None, nemesis_auditor=None):
     """A tiny functional platform: ``n_hosts`` memory hosts x 2 MB pools.
 
-    ``faults`` (a :class:`~repro.faults.plan.FaultPlan`) attaches a
-    nemesis; ``config`` overrides the derived :class:`DodoConfig` (the
-    chaos harness passes one with the fault-tolerance knobs on).
+    ``config`` holds the Dodo settings; the default ``DodoConfig()``
+    carries real payload bytes over UDP.  ``faults`` (a
+    :class:`~repro.faults.plan.FaultPlan`) attaches a nemesis.
     """
     params = PlatformParams(
-        transport=transport, store_payload=store_payload,
         n_memory_hosts=n_hosts, imd_pool_bytes=pool_mb * MB,
         local_cache_bytes=local_cache_kb * 1024,
         app_fs_cache_dodo=1 * MB, app_fs_cache_baseline=4 * MB,
         disk_capacity_bytes=256 * MB, frame_loss_prob=loss,
         allocator_kind=allocator)
-    return Platform(sim, params, dodo=dodo, config=config, faults=faults,
-                    nemesis_auditor=nemesis_auditor)
+    return Platform(sim, params, dodo=dodo, config=config or DodoConfig(),
+                    faults=faults, nemesis_auditor=nemesis_auditor)
 
 
 def run(sim, gen):

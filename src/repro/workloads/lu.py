@@ -187,7 +187,7 @@ class OutOfCoreLU:
                         slab_j[prow + 1:, pcol], slab_j[prow, pcol + 1:])
             yield from self.write_slab(j, slab_j)
         return (yield from self.assemble()) \
-            if self.platform.params.store_payload else None
+            if self.platform.config.store_payload else None
 
     def assemble(self):
         """Process body: read all slabs back into one packed LU matrix."""

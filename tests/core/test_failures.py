@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ENOMEM, EINVAL
+from repro.core import ENOMEM, EINVAL, DodoConfig
 from repro.sim import Simulator
 
 from repro.testing import make_backing_file, make_platform, run
@@ -185,7 +185,8 @@ def test_lossy_network_end_to_end(sim):
     IP fragmentation — one lost fragment kills a 45-frame datagram — and
     genuinely defeats the blast protocol's retry budget.)
     """
-    platform = make_platform(sim, transport="unet", loss=0.05)
+    platform = make_platform(sim, config=DodoConfig(transport="unet"),
+                             loss=0.05)
     lib = platform.runtime()
     fd = make_backing_file(platform)
     blob = bytes((7 * i) % 256 for i in range(300_000))

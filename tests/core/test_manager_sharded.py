@@ -18,14 +18,11 @@ REGION = 64 * 1024
 
 def make_sharded(sim, shards=2, replication=True, n_hosts=4):
     params = PlatformParams(
-        transport="udp", store_payload=True, n_memory_hosts=n_hosts,
-        imd_pool_bytes=2 * MB, local_cache_bytes=256 * 1024,
-        app_fs_cache_dodo=1 * MB, disk_capacity_bytes=256 * MB,
-        shards=shards, replication=replication)
-    cfg = DodoConfig(transport="udp", store_payload=True, dedicated=True,
-                     max_pool_bytes=2 * MB, shards=shards,
-                     replication=replication, rpc_backoff_s=0.02,
-                     imd_reregister_s=2.0)
+        n_memory_hosts=n_hosts, imd_pool_bytes=2 * MB,
+        local_cache_bytes=256 * 1024, app_fs_cache_dodo=1 * MB,
+        disk_capacity_bytes=256 * MB)
+    cfg = DodoConfig(shards=shards, replication=replication,
+                     rpc_backoff_s=0.02, imd_reregister_s=2.0)
     return Platform(sim, params, dodo=True, config=cfg)
 
 

@@ -16,12 +16,11 @@ from repro.testing import make_backing_file, run
 
 def build(sim, multi_client):
     params = PlatformParams(
-        transport="udp", store_payload=True, n_memory_hosts=3,
-        imd_pool_bytes=2 * MB, local_cache_bytes=256 * 1024,
-        app_fs_cache_dodo=1 * MB, disk_capacity_bytes=256 * MB)
-    platform = Platform(sim, params, dodo=True)
-    object.__setattr__(platform.config, "multi_client_keys", multi_client)
-    return platform
+        n_memory_hosts=3, imd_pool_bytes=2 * MB,
+        local_cache_bytes=256 * 1024, app_fs_cache_dodo=1 * MB,
+        disk_capacity_bytes=256 * MB)
+    return Platform(sim, params, dodo=True,
+                    config=DodoConfig(multi_client_keys=multi_client))
 
 
 def test_single_client_keys_share_regions():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import EINVAL, ENOMEM
+from repro.core import EINVAL, ENOMEM, DodoConfig
 from repro.sim import Simulator
 
 from repro.testing import make_backing_file, make_platform, run
@@ -311,7 +311,7 @@ def test_zero_length_ops(sim, platform, lib):
 
 
 def test_unet_transport_roundtrip(sim):
-    platform = make_platform(sim, transport="unet")
+    platform = make_platform(sim, config=DodoConfig(transport="unet"))
     lib = platform.runtime()
     fd = make_backing_file(platform)
     blob = bytes(i % 256 for i in range(100_000))

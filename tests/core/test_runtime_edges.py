@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import EINVAL, EIO, ENOMEM
+from repro.core import EINVAL, EIO, ENOMEM, DodoConfig
 from repro.sim import Simulator
 
 from repro.testing import make_backing_file, make_platform, run
@@ -48,7 +48,7 @@ def test_msync_backing_fd_closed_is_einval(sim, platform, lib):
 
 
 def test_mread_data_none_in_metadata_mode(sim):
-    platform = make_platform(sim, store_payload=False)
+    platform = make_platform(sim, config=DodoConfig(store_payload=False))
     lib = platform.runtime()
     fd = make_backing_file(platform)
 

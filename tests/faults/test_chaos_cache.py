@@ -23,7 +23,7 @@ from repro.core.config import CacheConfig
 from repro.faults.chaos import run_chaos
 from repro.faults.generate import random_plan
 
-#: the nondedicated chaos scenario's topology (see chaos._run_nondedicated)
+#: the nondedicated chaos scenario's topology (see chaos.play_scenario)
 HOSTS = ["app", "mgr"] + [f"w{i}" for i in range(6)]
 WARMUP = 10.0  # idle_window_s + 5.0, when the desktops are recruited
 

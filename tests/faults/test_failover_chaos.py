@@ -91,12 +91,10 @@ def test_serving_rides_through_failover_with_bounded_retries():
 
     sim = Simulator(seed=17)
     params = PlatformParams(
-        transport="udp", store_payload=False, n_memory_hosts=4,
-        imd_pool_bytes=2 * MB, local_cache_bytes=256 * 1024,
-        app_fs_cache_dodo=1 * MB, disk_capacity_bytes=256 * MB,
-        shards=2, replication=True)
-    cfg = DodoConfig(transport="udp", store_payload=False, dedicated=True,
-                     max_pool_bytes=2 * MB, shards=2, replication=True,
+        n_memory_hosts=4, imd_pool_bytes=2 * MB,
+        local_cache_bytes=256 * 1024, app_fs_cache_dodo=1 * MB,
+        disk_capacity_bytes=256 * MB)
+    cfg = DodoConfig(store_payload=False, shards=2, replication=True,
                      rpc_backoff_s=0.02)
     platform = Platform(sim, params, dodo=True, config=cfg)
     tier = ServingTier(platform, ServingParams(

@@ -438,16 +438,6 @@ def test_simulator_at_rejects_past_times():
     sim.run(until=sim.process(proc()))
 
 
-def test_config_toggle_controls_fastpath():
-    from repro.core.config import DodoConfig
-    on = DodoConfig(bulk_fastpath=True)
-    off = DodoConfig(bulk_fastpath=False)
-    assert on.bulk_params().fastpath is True
-    assert off.bulk_params().fastpath is False
-    # the default BulkParams inside the config is reused when it agrees
-    assert on.bulk_params() is on.bulk
-
-
 def test_partition_is_zero_copy():
     from repro.net.bulk import _partition
     blob = bytearray(b"z" * 10_000)

@@ -31,7 +31,7 @@ def run_workload(seed, telemetered, interval_s=0.25):
     prev_e = install_eventlog(eventlog)
     try:
         sim = Simulator(seed=seed)
-        params = PlatformParams(store_payload=False).scaled(1 / 256)
+        params = PlatformParams().scaled(1 / 256)
         platform = Platform(sim, params, dodo=True)
         sp = SyntheticParams(pattern="random", dataset_bytes=2 * MB,
                              req_size=8192, num_iter=2, compute_s=0.002)

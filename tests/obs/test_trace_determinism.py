@@ -29,7 +29,7 @@ def run_workload(seed, traced):
     previous = install(tracer)
     try:
         sim = Simulator(seed=seed)
-        params = PlatformParams(store_payload=False).scaled(1 / 256)
+        params = PlatformParams().scaled(1 / 256)
         platform = Platform(sim, params, dodo=True)
         sp = SyntheticParams(pattern="random", dataset_bytes=2 * MB,
                              req_size=8192, num_iter=2, compute_s=0.002)

@@ -68,16 +68,17 @@ def test_slo_engine_sees_every_request():
 def test_undersized_pools_fail_loudly():
     # run_serving sizes pools to fit the keyspace; build a platform
     # whose pools cannot hold it and the loader must raise, not limp
+    from repro.core.config import DodoConfig
     from repro.exp.platform import MB, Platform, PlatformParams
     from repro.sim import Simulator
     from repro.workloads.serving import ServingParams, ServingTier
 
     sim = Simulator(seed=3)
     platform = Platform(sim, PlatformParams(
-        transport="udp", store_payload=False, n_memory_hosts=1,
-        imd_pool_bytes=256 * 1024, local_cache_bytes=128 * 1024,
-        app_fs_cache_dodo=1 * MB, disk_capacity_bytes=64 * MB,
-        shards=1, replication=True), dodo=True)
+        n_memory_hosts=1, imd_pool_bytes=256 * 1024,
+        local_cache_bytes=128 * 1024, app_fs_cache_dodo=1 * MB,
+        disk_capacity_bytes=64 * MB), dodo=True, config=DodoConfig(
+            store_payload=False, shards=1, replication=True))
     tier = ServingTier(platform, ServingParams(
         n_keys=64, value_bytes=16 * 1024, duration_s=0.5,
         arrival_rate=10.0))

@@ -58,7 +58,7 @@ def test_each_iteration_reads_whole_dataset_volume():
 
 
 def make_platform(sim, dodo):
-    params = PlatformParams(store_payload=False).scaled(1 / 256)
+    params = PlatformParams().scaled(1 / 256)
     return Platform(sim, params, dodo=dodo)
 
 
