@@ -72,11 +72,10 @@ def score_host(run: RunTelemetry, name: str, eventlog=None) -> dict:
                                       host=name, run=rid)) \
             + len(eventlog.query(component="imd", event="imd.killed",
                                  host=name, run=rid))
-        recruits = len(eventlog.query(component="rmd",
-                                      event="node.recruited",
-                                      host=name, run=rid)) \
-            + len(eventlog.query(component="imd", event="imd.start",
-                                 host=name, run=rid))
+        # one imd.start per daemon start; a desktop recruitment also
+        # logs the rmd's node.recruited, which would count it twice
+        recruits = len(eventlog.query(component="imd", event="imd.start",
+                                      host=name, run=rid))
         for e in eventlog.query(component="imd", host=name, run=rid):
             regions_lost += int(e.fields.get("regions_lost", 0))
             if e.event == "imd.exit":
