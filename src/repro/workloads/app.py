@@ -1,6 +1,7 @@
 """Application harness: run a request stream against the FS or Dodo.
 
-Runs a workload twice-comparable ways on the Section 5.1 platform:
+Runs a workload two comparable ways on either testbed (the Section 5.1
+platform or the Section 5.3.1 desktop cluster):
 
 * **baseline** — plain ``read()`` through the OS page cache and disk (the
   app's otherwise-free memory all belongs to the file cache);
@@ -21,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core.regionlib import RegionCache
-from repro.exp.platform import Platform
+from repro.exp.platform import ClusterTargets
 from repro.workloads.synthetic import SyntheticParams, iteration_offsets
 
 
@@ -46,7 +47,7 @@ class RunResult:
 class SyntheticRunner:
     """Drives one synthetic benchmark on a platform."""
 
-    def __init__(self, platform: Platform, params: SyntheticParams,
+    def __init__(self, platform: ClusterTargets, params: SyntheticParams,
                  use_dodo: bool, policy: str = "lru",
                  region_bytes: Optional[int] = None,
                  dataset_name: str = "dataset"):
@@ -125,7 +126,7 @@ class TraceRunner:
     without re-running its arithmetic.
     """
 
-    def __init__(self, platform: Platform, trace: Sequence[TraceRequest],
+    def __init__(self, platform: ClusterTargets, trace: Sequence[TraceRequest],
                  dataset_bytes: int, use_dodo: bool, policy: str = "first-in",
                  region_bytes: int = 128 * 1024,
                  dataset_name: str = "dataset",

@@ -1,7 +1,10 @@
-"""Tests for the Section 5.1 platform builder and its scaling rule."""
+"""Tests for the testbed builders: the Section 5.1 platform (and its
+scaling rule) and the Section 5.3.1 desktop cluster."""
 
 import pytest
 
+from repro.core.config import DodoConfig
+from repro.exp.nondedicated import DesktopCluster, NonDedicatedParams
 from repro.exp.platform import MB, Platform, PlatformParams, build_platform
 from repro.sim import Simulator
 
@@ -76,3 +79,39 @@ def test_app_node_has_disk_and_fs():
     assert platform.app.disk is not None
     assert platform.app.fs is not None
     assert platform.mgr.disk is None  # the manager node needs none
+
+
+def test_config_alone_sets_payload_mode():
+    """Every Dodo setting comes from the config: a payload-carrying
+    config gives a data-carrying cluster as well as daemons."""
+    params = PlatformParams().scaled(1 / 128)
+    functional = Platform(Simulator(seed=127), params,
+                          config=DodoConfig(store_payload=True))
+    assert functional.cluster.config.store_data
+    assert all(imd.pool is not None for imd in functional.imds)
+    sizes_only = Platform(Simulator(seed=127), params)
+    assert not sizes_only.config.store_payload
+    assert not sizes_only.cluster.config.store_data
+    assert all(imd.pool is None for imd in sizes_only.imds)
+
+
+def test_desktop_cluster_records_every_forked_imd():
+    """Owners come and go, so monitors fork fresh imds; the cluster's
+    record keeps the dead incarnations too."""
+    sim = Simulator(seed=128)
+    p = NonDedicatedParams(idle_window_s=5.0, owner_active_mean_s=20.0,
+                           owner_away_mean_s=40.0)
+    cluster = DesktopCluster(sim, p)
+    sim.run(until=200.0)
+    recruits = sum(r.stats.count("recruits") for r in cluster.rmds)
+    assert len(cluster.imds) == recruits > len(cluster.rmds)
+    assert any(imd.exited for imd in cluster.imds)
+    assert cluster.region_cache().local_bytes == p.local_cache
+
+
+def test_desktop_baseline_has_no_daemons():
+    cluster = DesktopCluster(Simulator(seed=129), NonDedicatedParams(),
+                             dodo=False)
+    assert cluster.cmd is None and cluster.rmds == [] and cluster.imds == []
+    with pytest.raises(RuntimeError):
+        cluster.runtime()
