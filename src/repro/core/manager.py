@@ -21,6 +21,7 @@ Section 5.2.1).
 from __future__ import annotations
 
 import inspect
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,67 @@ class IwdEntry:
     epoch: int
     largest_free: int
     port: int
+
+
+class IdleDirectory(dict):
+    """The IWD: host -> :class:`IwdEntry` in registration order, plus
+    :attr:`index`, every entry's ``(largest_free, host)`` pair in sorted
+    order.
+
+    Item assignment, ``del`` and :meth:`pop` keep the index exact, and a
+    hint changes only through :meth:`set_free`, so :meth:`fitting` can
+    see that every host fits a request without touching the entries.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, entries=()):
+        super().__init__()
+        self.index: list[tuple[int, str]] = []
+        for host, entry in entries:
+            self[host] = entry
+
+    def __setitem__(self, host: str, entry: IwdEntry) -> None:
+        old = self.get(host)
+        if old is not None:  # re-registration keeps the dict position
+            self._unindex(old.largest_free, host)
+        dict.__setitem__(self, host, entry)
+        insort(self.index, (entry.largest_free, host))
+
+    def __delitem__(self, host: str) -> None:
+        self._unindex(self[host].largest_free, host)
+        dict.__delitem__(self, host)
+
+    def pop(self, host: str, *default):
+        if host in self:
+            self._unindex(self[host].largest_free, host)
+        return dict.pop(self, host, *default)
+
+    def _unsupported(self, *args, **kwargs):
+        raise TypeError("the IWD index tracks only item assignment, del, "
+                        "pop and set_free")
+
+    update = setdefault = popitem = clear = __ior__ = _unsupported
+
+    def set_free(self, host: str, largest_free: int) -> None:
+        """Refresh a host's free-space hint (piggybacked on imd replies);
+        unknown hosts are ignored."""
+        entry = self.get(host)
+        if entry is not None and entry.largest_free != largest_free:
+            self._unindex(entry.largest_free, host)
+            entry.largest_free = largest_free
+            insort(self.index, (largest_free, host))
+
+    def fitting(self, length: int) -> list[str]:
+        """Hosts whose hint is at least ``length``, in registration
+        order.  When the smallest hint fits, that is every host."""
+        if not self.index or self.index[0][0] >= length:
+            return list(self)
+        return [h for h, e in self.items() if e.largest_free >= length]
+
+    def _unindex(self, largest_free: int, host: str) -> None:
+        index = self.index
+        del index[bisect_left(index, (largest_free, host))]
 
 
 @dataclass
@@ -117,7 +179,7 @@ class CentralManager:
         self.repl_seq = 0
         self._repl_pending: list[list] = []
         self.repl_degraded = False
-        self.iwd: dict[str, IwdEntry] = {}
+        self.iwd = IdleDirectory()
         self.rd: dict[RegionKey, RdEntry] = {}
         self.clients: dict[str, ClientState] = {}
         #: a lone primary is the paper's "cmd"; shard managers are "cmdN"
@@ -373,10 +435,10 @@ class CentralManager:
             _unwire_key(raw): RdEntry(struct=RegionStruct.from_wire(sw),
                                       owner=owner)
             for raw, sw, owner in snap["rd"]}
-        self.iwd = {
-            host: IwdEntry(host=host, epoch=int(epoch),
-                           largest_free=int(free), port=int(port))
-            for host, epoch, free, port in snap["iwd"]}
+        self.iwd = IdleDirectory(
+            (host, IwdEntry(host=host, epoch=int(epoch),
+                            largest_free=int(free), port=int(port)))
+            for host, epoch, free, port in snap["iwd"])
         self.clients = {
             cid: ClientState(addr=addr, echo_port=int(port),
                              last_echo=self.sim.now)
@@ -685,8 +747,8 @@ class CentralManager:
         if entry is None:
             self.stats.add("migrate.failed")
             return False
-        candidates = [h for h, e in self.iwd.items()
-                      if h != src_iwd.host and e.largest_free >= size]
+        candidates = [h for h in self.iwd.fitting(size)
+                      if h != src_iwd.host]
         if not candidates:
             # every other donor looks full, but donors evict: offer the
             # hot region anyway and let the destination displace colder
@@ -852,8 +914,7 @@ class CentralManager:
                     {"ok": True, "region": existing.struct.to_wire()})
             self._rd_del(key)  # stale or too small: replace
 
-        candidates = [h for h, e in self.iwd.items()
-                      if e.largest_free >= length]
+        candidates = self.iwd.fitting(length)
         if not candidates and self.config.cache.enabled:
             # donors run an eviction policy: a host whose free-space
             # hint says "full" can still make room, so consult them all
@@ -958,9 +1019,7 @@ class CentralManager:
         finally:
             sock.close()
         if "largest_free" in reply:
-            live = self.iwd.get(iwd.host)
-            if live is not None:
-                live.largest_free = int(reply["largest_free"])
+            self.iwd.set_free(iwd.host, int(reply["largest_free"]))
         return reply
 
     def _reclaim_client(self, client: Optional[str]):

@@ -16,6 +16,13 @@ from typing import Iterable, Sequence
 #: collect the whole system's counters without a wiring pass
 _REGISTRY: list[weakref.ref] = []
 
+#: registry length at which the next registration prunes dead references.
+#: Each prune resets it to twice the survivors (at least ``_PRUNE_FLOOR``),
+#: so every prune scans at most twice the registrations since the last:
+#: amortized O(1) per recorder, however many recorders stay alive
+_PRUNE_FLOOR = 4096
+_prune_at = _PRUNE_FLOOR
+
 #: active strong-reference collections (see :func:`start_collection`)
 _COLLECTORS: list[list] = []
 
@@ -50,6 +57,14 @@ def stop_collection(collected: list) -> None:
         pass
 
 
+def _register(rec: "Recorder") -> None:
+    global _prune_at
+    if len(_REGISTRY) >= _prune_at:
+        _REGISTRY[:] = [r for r in _REGISTRY if r() is not None]
+        _prune_at = max(_PRUNE_FLOOR, 2 * len(_REGISTRY))
+    _REGISTRY.append(weakref.ref(rec))
+
+
 class Recorder:
     """A named bag of additive counters and value accumulators."""
 
@@ -57,9 +72,7 @@ class Recorder:
         self.name = name
         self._counters: defaultdict[str, float] = defaultdict(float)
         self._samples: defaultdict[str, list[float]] = defaultdict(list)
-        if len(_REGISTRY) % 4096 == 0:  # amortized pruning of dead refs
-            _REGISTRY[:] = [r for r in _REGISTRY if r() is not None]
-        _REGISTRY.append(weakref.ref(self))
+        _register(self)
         for collected in _COLLECTORS:
             collected.append(self)
 

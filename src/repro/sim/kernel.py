@@ -12,19 +12,19 @@ sorted front; Brown 1988, Tang et al. 2005): a small binary heap — the
 everything later, indexed by ``floor(when / width)`` modulo the bucket
 count.  Dispatch pops the front exactly like the old global heap did —
 one C ``heappop`` — but the heap only ever contains the events of the
-current fence window, so its depth stays O(1) instead of O(log n) no
-matter how many far-future events are pending; those cost a single list
-append each.  When the front drains, the fence advances bucket by bucket,
-sweeping each bucket's now-due entries into the front.  The bucket width
-is re-fit to the observed timestamp distribution (pending-event span /
-count) whenever the population outgrows the structure, so both a
-microsecond-spaced network burst and multi-second keep-alive timers keep
-O(1) amortized access.  Entries are the same ``(when, counter, event)``
-triples the old binary heap used, compared the same way, and the front
-always holds *every* pending entry below the fence — the dispatch order
-is *identical* to the heap's, which the golden-file and differential
-determinism tests assert byte-for-byte (see docs/PERFORMANCE.md for the
-ordering argument).
+current fence window, not every pending event (far-future events cost a
+single list append each), so its depth is O(log w) in the window size
+w, not O(log n) in the pending count.  When the front drains, the fence
+advances bucket by bucket, sweeping each bucket's now-due entries into
+the front.  The bucket width is re-fit to the observed timestamp
+distribution (pending-event span / count) whenever the population
+outgrows the structure, so both a microsecond-spaced network burst and
+multi-second keep-alive timers keep O(1) amortized access.  Entries are
+the same ``(when, counter, event)`` triples the old binary heap used,
+compared the same way, and the front always holds *every* pending entry
+below the fence — the dispatch order is *identical* to the heap's, which
+the golden-file and differential determinism tests assert byte-for-byte
+(see docs/PERFORMANCE.md for the ordering argument).
 
 Two further hot-path optimizations live here: ``Simulator.timeout``
 recycles processed :class:`Timeout` objects from a free pool (the dispatch

@@ -43,7 +43,10 @@ class Process(Event):
         init._value = None
         sim._enqueue(0.0, init)
         #: cached bound method — appended once per resume on the hot path,
-        #: so we pay the bound-method allocation a single time
+        #: so we pay the bound-method allocation a single time.  It refers
+        #: back to this process, so every path that ends the generator
+        #: clears it: a finished process then dies by reference counting
+        #: instead of waiting as cyclic garbage for the collector.
         self._rcb = self._resume
         init.callbacks.append(self._rcb)
         self._target: Optional[Event] = init
@@ -104,11 +107,15 @@ class Process(Event):
             else:
                 nxt = generator.throw(event._value)
         except StopIteration as stop:
-            self._generator = None
+            self._generator = self._rcb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self._generator = None
+            self._generator = self._rcb = None
+            # The traceback's first entry is this frame, whose locals hold
+            # this process, which will hold the exception: drop the entry
+            # (the generator's own frames stay) so no cycle forms.
+            exc.__traceback__ = exc.__traceback__.tb_next
             self.fail(exc)
             return
         finally:
@@ -124,7 +131,7 @@ class Process(Event):
         else:
             nxt_is_event = True
         if not nxt_is_event:
-            self._generator = None
+            self._generator = self._rcb = None
             self.fail(SimulationError(
                 f"process yielded a non-event: {nxt!r}"))
             return
@@ -166,9 +173,15 @@ class _Condition(Event):
         if not evt._ok:
             evt.defused = True
             self.fail(evt._value)
-            return
-        self._done += 1
-        self._on_child(idx, evt)
+        else:
+            self._done += 1
+            self._on_child(idx, evt)
+            if not self.triggered:
+                return
+        # A child still pending holds this condition through its
+        # callback; dropping the children once triggered (nothing reads
+        # them after that) keeps that from closing a reference cycle.
+        self._events = None
 
     def _on_child(self, idx: int, evt: Event) -> None:  # pragma: no cover
         raise NotImplementedError

@@ -165,57 +165,20 @@ class Disk:
         arm mid-batch, the remaining runs fall back to the per-request
         path so the waiter is granted the arm between members.
         """
-        sim = self.sim
-        arm = self.arm
-        kind = "write" if write else "read"
-        arm._in_use += 1
-        done = Event(sim)
-        state = [0, 0.0]  # [next run index, accumulated service time]
+        self.arm._in_use += 1
+        batch = _FastBatch(self, runs, write)
         self.stats.add("fastpath.batches")
+        batch.start_next()
+        return batch.done
 
-        def start_next() -> None:
-            offset, nbytes = runs[state[0]]
-            service = self.service_time(offset, nbytes, write)
-            sequential = offset == self._last_end
-            evt = sim.at(sim.now + service)
-            evt.callbacks.append(
-                lambda _e, o=offset, n=nbytes, s=service, q=sequential:
-                finish_one(o, n, s, q))
-
-        def finish_one(offset: int, nbytes: int, service: float,
-                       sequential: bool) -> None:
-            end = offset + nbytes
-            self._head = end
-            self._last_end = end
-            state[0] += 1
-            state[1] += service
-            last = state[0] >= len(runs)
-            contended = not last and bool(arm._waiters)
-            if last or contended:
-                arm.release()
-            self.stats.add(f"{kind}.ops")
-            self.stats.add(f"{kind}.bytes", nbytes)
-            if sequential:
-                self.stats.add(f"{kind}.sequential")
-            self.stats.sample("service_s", service)
-            if last:
-                done.succeed(state[1])
-            elif contended:
-                self.stats.add("fastpath.fallbacks")
-                sim.process(self._drain(runs, state, write, done))
-            else:
-                start_next()
-
-        start_next()
-        return done
-
-    def _drain(self, runs, state, write: bool, done: Event):
+    def _drain(self, batch: "_FastBatch"):
         """Finish a contended batch on the per-request path."""
-        while state[0] < len(runs):
-            offset, nbytes = runs[state[0]]
-            state[1] += yield from self._io(offset, nbytes, write)
-            state[0] += 1
-        done.succeed(state[1])
+        runs = batch.runs
+        while batch.index < len(runs):
+            offset, nbytes = runs[batch.index]
+            batch.total += yield from self._io(offset, nbytes, batch.write)
+            batch.index += 1
+        batch.done.succeed(batch.total)
 
     def _io(self, offset: int, nbytes: int, write: bool):
         if nbytes <= 0:
@@ -251,3 +214,60 @@ class Disk:
             self.stats.add(f"{kind}.sequential")
         self.stats.sample("service_s", service)
         return service
+
+
+class _FastBatch:
+    """One batch on the disk fast path, one run in service at a time.
+
+    The completion event's callback is a bound method of this object,
+    which refers to nothing that refers back to it, so a finished batch
+    dies by reference counting (closures that call each other would
+    form a reference cycle through their enclosing scope).
+    """
+
+    __slots__ = ("disk", "runs", "write", "done", "index", "total",
+                 "offset", "nbytes", "service", "sequential")
+
+    def __init__(self, disk: Disk, runs, write: bool):
+        self.disk = disk
+        self.runs = runs
+        self.write = write
+        self.done = Event(disk.sim)
+        #: next run to finish, and the service time accumulated so far
+        self.index = 0
+        self.total = 0.0
+
+    def start_next(self) -> None:
+        disk = self.disk
+        sim = disk.sim
+        self.offset, self.nbytes = offset, nbytes = self.runs[self.index]
+        self.service = disk.service_time(offset, nbytes, self.write)
+        self.sequential = offset == disk._last_end
+        sim.at(sim.now + self.service).callbacks.append(self.finish_one)
+
+    def finish_one(self, _event: Event) -> None:
+        disk = self.disk
+        arm = disk.arm
+        end = self.offset + self.nbytes
+        disk._head = end
+        disk._last_end = end
+        self.index += 1
+        self.total += self.service
+        last = self.index >= len(self.runs)
+        contended = not last and bool(arm._waiters)
+        if last or contended:
+            arm.release()
+        stats = disk.stats
+        kind = "write" if self.write else "read"
+        stats.add(f"{kind}.ops")
+        stats.add(f"{kind}.bytes", self.nbytes)
+        if self.sequential:
+            stats.add(f"{kind}.sequential")
+        stats.sample("service_s", self.service)
+        if last:
+            self.done.succeed(self.total)
+        elif contended:
+            stats.add("fastpath.fallbacks")
+            disk.sim.process(disk._drain(self))
+        else:
+            self.start_next()

@@ -10,7 +10,9 @@ into test packages:
 * :func:`make_backing_file` — create + open a backing file on the app
   node;
 * :class:`TinyNet` / :func:`make_net` — a bare named-host network with
-  both transports, no cluster layer on top.
+  both transports, no cluster layer on top;
+* :func:`collector_off` — run a block with the cyclic garbage collector
+  off, so the block can count the cyclic garbage it made.
 
 Everything here is deterministic given the caller's ``Simulator`` seed;
 no helper draws randomness of its own.
@@ -18,12 +20,15 @@ no helper draws randomness of its own.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 from repro.core.config import DodoConfig
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.net import NIC, Network, TransportEndpoint, transport_params
 
-__all__ = ["MB", "TinyNet", "make_backing_file", "make_net",
-           "make_platform", "run"]
+__all__ = ["MB", "TinyNet", "collector_off", "make_backing_file",
+           "make_net", "make_platform", "run"]
 
 
 def make_platform(sim, *, n_hosts=3, pool_mb=2, local_cache_kb=256,
@@ -81,3 +86,19 @@ class TinyNet:
 def make_net(sim, hosts=("alpha", "beta"), loss=0.0):
     """Build a small TinyNet fixture with both transports per host."""
     return TinyNet(sim, list(hosts), loss=loss)
+
+
+@contextmanager
+def collector_off():
+    """Disable the cyclic garbage collector for the ``with`` body, after
+    collecting everything earlier code left (finalizing a suspended
+    generator can keep its cycle for one more collection).  A
+    ``gc.collect()`` inside the body then returns the number of
+    unreachable objects the body itself left in reference cycles."""
+    while gc.collect():
+        pass
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

@@ -1,12 +1,20 @@
 """Direct unit tests for the central manager's directories and handlers."""
 
+import zlib
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CentralManager, DodoConfig
-from repro.core.manager import IwdEntry, _unwire_key, _wire_key
+from repro.core import manager as manager_module
+from repro.core.manager import (IdleDirectory, IwdEntry, _unwire_key,
+                                _wire_key)
 from repro.core.descriptors import RegionKey, RegionStruct
 from repro.cluster.workstation import MB, Workstation
 from repro.net import Network
+from repro.net.rpc import RpcTimeout
 from repro.sim import Simulator
 
 
@@ -164,3 +172,124 @@ def test_stop_halts_keepalive_and_server(sim, cmd):
     cmd.stop()
     sim.run(until=sim.now + 1.0)
     assert not cmd._keepalive.is_alive
+
+
+# -- the IWD free-space index ---------------------------------------------------
+
+HOSTS = st.sampled_from([f"w{i}" for i in range(6)])
+FREES = st.sampled_from([0, 100, 4096, 8192, 1 * MB])
+#: alloc lengths: every host fits some, only some hosts or none fit others
+LENGTHS = st.sampled_from([1, 100, 4096, 8192, 64 * 1024, 2 * MB])
+IWD_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["register", "hint", "write",
+                               "record_set"]), HOSTS, FREES),
+    st.tuples(st.sampled_from(["busy", "delete", "record_del"]), HOSTS),
+    st.tuples(st.just("snapshot"),
+              st.lists(st.tuples(HOSTS, FREES), unique_by=lambda t: t[0],
+                       max_size=6)),
+    st.tuples(st.just("alloc"), LENGTHS)), max_size=40)
+
+
+class ScanDirectory(IdleDirectory):
+    """The reference: every allocation scans every entry."""
+
+    __slots__ = ()
+
+    def fitting(self, length):
+        return [h for h, e in self.items() if e.largest_free >= length]
+
+
+class FakeImds:
+    """Stands in for ``RpcClient`` so imd calls answer at once.  Hosts in
+    ``dead`` never answer; the others piggyback a free-space hint, and
+    refuse some allocations, as a pure function of the call."""
+
+    def __init__(self, dead):
+        self.dead = dead
+        self.allocs = []
+
+    def __call__(self, sock):
+        return self
+
+    def call(self, addr, method, args, **_):
+        host = addr[0]
+        if method == "alloc":
+            self.allocs.append(host)
+        if host in self.dead:
+            raise RpcTimeout(host)
+        if method == "inventory":
+            return {"ok": True, "largest_free": args["largest_free"]}
+        mix = zlib.crc32(f"{host}/{args['size']}".encode())
+        yield from ()
+        return {"ok": mix % 3 != 0, "region_id": 0, "epoch": 1,
+                "largest_free": mix % 5 * 4096}
+
+
+def _iwd_step(cmd, op, step, imds):
+    kind, arg = op[0], op[1]
+    if kind == "register":
+        cmd._h_imd_register({"host": arg, "pool_bytes": MB, "epoch": step,
+                             "largest_free": op[2], "port": 6001}, SRC)
+    elif kind == "hint":  # piggybacked on an imd reply (unknown: ignored)
+        entry = cmd.iwd.get(arg) or IwdEntry(arg, step, 0, 6001)
+        cmd.sim.run(until=cmd.sim.process(cmd._imd_call(
+            entry, "inventory", {"largest_free": op[2]})))
+    elif kind == "write":
+        cmd.iwd[arg] = IwdEntry(host=arg, epoch=step, largest_free=op[2],
+                                port=6001)
+    elif kind == "record_set":
+        cmd._apply_record(["iwd_set", [arg, step, op[2], 6001]])
+    elif kind == "busy":
+        cmd._h_notify_busy({"host": arg}, SRC)
+    elif kind == "delete":
+        if arg in cmd.iwd:
+            del cmd.iwd[arg]
+        else:
+            with pytest.raises(KeyError):
+                del cmd.iwd[arg]
+    elif kind == "record_del":
+        cmd._apply_record(["iwd_del", arg])
+    elif kind == "snapshot":
+        snap = cmd._snapshot()
+        snap["iwd"] = [[h, step, free, 6001] for h, free in arg]
+        cmd._install_snapshot(snap)
+    else:
+        imds.allocs.clear()
+        reply = cmd.sim.run(until=cmd.sim.process(cmd._h_alloc(
+            {"key": [step, 0, None], "length": arg}, SRC)))
+        return reply, list(imds.allocs)
+
+
+def _make_cmd():
+    sim = Simulator(seed=111)
+    ws = Workstation(sim, "mgr", Network(sim))
+    return CentralManager(sim, ws, DodoConfig(store_payload=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(IWD_OPS, st.sets(HOSTS, max_size=2))
+def test_iwd_index_matches_rebuild_and_scan_placement(ops, dead):
+    """Through every way the IWD is written, its index equals a rebuild,
+    and random placement tries the same hosts, in the same order, as a
+    manager that scans every entry."""
+    imds = FakeImds(dead)
+    cmd, ref = _make_cmd(), _make_cmd()
+    with mock.patch.object(manager_module, "RpcClient", imds):
+        for step, op in enumerate(ops, 1):
+            if type(ref.iwd) is not ScanDirectory:  # built or re-installed
+                ref.iwd = ScanDirectory(ref.iwd.items())
+            got = _iwd_step(cmd, op, step, imds)
+            want = _iwd_step(ref, op, step, imds)
+            assert cmd.iwd.index == sorted(
+                (e.largest_free, h) for h, e in cmd.iwd.items())
+            assert list(cmd.iwd.items()) == list(ref.iwd.items())
+            assert got == want
+
+
+def test_iwd_rejects_writes_that_bypass_the_index():
+    iwd = IdleDirectory([("w0", IwdEntry("w0", 1, 4096, 6001))])
+    for write in (lambda: iwd.update(w1=None), iwd.clear, iwd.popitem,
+                  lambda: iwd.setdefault("w1", None)):
+        with pytest.raises(TypeError):
+            write()
+    assert iwd.index == [(4096, "w0")]

@@ -1,6 +1,8 @@
 """Shape tests for the experiment drivers (small scales; the full
 parameter grids live in benchmarks/)."""
 
+import gc
+
 import pytest
 
 from repro.exp.ablations import (run_allocator_ablation,
@@ -11,7 +13,9 @@ from repro.exp.disk_cal import PAPER, measure, run_disk_calibration
 from repro.exp.fig7 import lu_params_for_scale, run_dmine, run_lu
 from repro.exp.fig8 import Fig8Point, run_point
 from repro.exp.nondedicated import NonDedicatedParams, run_nondedicated
+from repro.exp.scale import run_scale
 from repro.exp.sec2 import run_fig1, run_fig2, run_table1
+from repro.sim import Simulator
 
 SCALE = 1 / 256  # tiny but ratio-preserving
 
@@ -151,3 +155,35 @@ def test_policy_ablation_first_in_beats_lru_on_cyclic_scan():
 def test_pregrant_cuts_latency():
     res = run_pregrant_ablation(n=20)
     assert res[True]["mean_latency_s"] < res[False]["mean_latency_s"]
+
+
+# -- scale-out -------------------------------------------------------------------------
+
+def test_scale_run_frees_nothing_by_cyclic_collection(monkeypatch):
+    """End-to-end guard: the objects a run makes die by reference
+    counting, so no collection during ``Simulator.run`` finds garbage."""
+    collected, inside = [], [False]
+    real_run = Simulator.run
+
+    def run(sim, until=None):
+        inside[0] = True
+        try:
+            return real_run(sim, until)
+        finally:
+            inside[0] = False
+
+    def on_gc(phase, info):
+        if phase == "stop" and inside[0]:
+            collected.append(info["collected"])
+
+    monkeypatch.setattr(Simulator, "run", run)
+    while gc.collect():  # what earlier tests left
+        pass
+    gc.callbacks.append(on_gc)
+    try:
+        out = run_scale(n_hosts=64, seed=3)
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert out["requests"] > 0
+    assert collected, "no collection ran; the guard checked nothing"
+    assert sum(collected) == 0

@@ -1,8 +1,12 @@
 """Unit tests for processes, interrupts and condition events."""
 
+import gc
+
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, SimulationError, Simulator
+from repro.sim import (AllOf, AnyOf, Interrupt, SimulationError, Simulator,
+                       Store)
+from repro.testing import collector_off
 
 
 def test_process_runs_and_returns():
@@ -290,3 +294,64 @@ def test_nested_processes_deep_chain():
         return val + 1
 
     assert sim.run(until=sim.process(level(20))) == 20
+
+
+def test_finished_processes_and_conditions_leave_no_cyclic_garbage():
+    """Hot-path objects die by reference counting: once the work below
+    is done, the cyclic collector finds nothing to free.  (A generator
+    that catches an exception while a local still refers to the failed
+    process does make a cycle, through the traceback; that one is the
+    caller's, so the waiters here hold no such reference.)"""
+    n = 50
+    with collector_off():
+        sim = Simulator()
+        store = Store(sim)
+
+        def returns(i):
+            yield sim.timeout(1.0)
+            return i
+
+        def raises():
+            yield sim.timeout(1.0)
+            raise ValueError("child failed")
+
+        def catches_child_failure():
+            try:
+                yield sim.process(raises())
+            except ValueError:
+                return "caught"
+
+        def sleeps():
+            try:
+                yield sim.timeout(10.0)
+            except Interrupt:
+                return "woken"
+
+        def interrupts(victim):
+            yield sim.timeout(1.0)
+            victim.interrupt("wake")
+
+        def recv_times_out():
+            # USocket._recv_proc's timeout path: the losing get stays
+            # pending until it is cancelled
+            get = store.get()
+            idx, _ = yield AnyOf(sim, [get, sim.timeout(1.0)])
+            assert idx == 1
+            store.cancel(get)
+
+        def allof_child_fails():
+            try:
+                yield AllOf(sim, [sim.timeout(5.0), sim.process(raises())])
+            except ValueError:
+                return "failed fast"
+
+        for i in range(n):
+            sim.process(returns(i))
+            sim.process(catches_child_failure())
+            sim.process(interrupts(sim.process(sleeps())))
+            sim.process(sleeps()).interrupt("before its first resume")
+            sim.process(recv_times_out())
+            sim.process(allof_child_fails())
+        sim.run()
+        assert sim.events_processed > 0
+        assert gc.collect() == 0

@@ -8,6 +8,7 @@ and page-cache eviction storms.  These tests run the same seeded workload
 with ``disk.fastpath`` on and off and compare everything observable.
 """
 
+import gc
 import random
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.sim import Simulator
 from repro.storage import Disk, FileSystem
 from repro.storage.pagecache import PageCache
+from repro.testing import collector_off
 
 KB = 1024
 MB = 1024 * KB
@@ -217,6 +219,31 @@ def test_batch_on_busy_arm_runs_as_process():
     sim.run()
     assert order == ["holder", "batch"]
     assert disk.stats.count("fastpath.batches") == 1  # only the holder's
+
+
+def test_finished_batches_leave_no_cyclic_garbage():
+    """Fast batches, finished whole or after a mid-batch fallback, die by
+    reference counting."""
+    with collector_off():
+        sim = Simulator(seed=0)
+        disk = Disk(sim, "d0")
+        runs = [(i * 10 * MB, 64 * KB) for i in range(10)]
+
+        def batches():
+            for _ in range(20):
+                yield disk.read_batch(runs)
+                yield disk.write_batch(runs)
+
+        def interlope():
+            yield sim.timeout(0.05)  # inside the first batch's span
+            yield disk.read(1_000_000_000, 8 * KB)
+
+        sim.process(batches())
+        sim.process(interlope())
+        sim.run()
+        assert disk.stats.count("fastpath.batches") >= 40
+        assert disk.stats.count("fastpath.fallbacks") >= 1
+        assert gc.collect() == 0
 
 
 def test_empty_batch_is_a_noop():

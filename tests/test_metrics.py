@@ -4,6 +4,9 @@ import pytest
 
 from repro.metrics import (Recorder, TimeSeries, format_series, format_table,
                            speedup)
+from repro.metrics import recorder as recorder_module
+from repro.metrics.recorder import iter_recorders
+from repro.testing import collector_off
 
 
 # -- Recorder ----------------------------------------------------------------
@@ -118,6 +121,31 @@ def test_recorder_clear():
     r.clear()
     assert r.count("a") == 0
     assert r.samples("b") == []
+
+
+def test_recorder_registry_prunes_in_proportion_to_live_recorders():
+    """Many recorders stay alive while short-lived ones come and go: the
+    registry stays within twice the live count, each prune scans no more
+    than twice the registrations since the last, and iteration keeps
+    creation order."""
+    registry = recorder_module._REGISTRY
+    keep, created, scanned = [], 0, 0
+    with collector_off():
+        for i in range(32_000):
+            before = len(registry)
+            rec = Recorder(f"r{i}")
+            created += 1
+            if len(registry) != before + 1:  # this registration pruned
+                scanned += before
+            if i % 8 < 3:
+                keep.append(rec)
+            if i % 1000 == 999:
+                live = sum(1 for _ in iter_recorders())
+                assert len(registry) <= max(4096, 2 * live)
+        del rec
+        ours = {id(r) for r in keep}
+        assert [r for r in iter_recorders() if id(r) in ours] == keep
+    assert scanned <= 2 * created
 
 
 # -- TimeSeries ---------------------------------------------------------------
