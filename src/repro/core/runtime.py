@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.config import CMD_PORT, DodoConfig
+from repro.core.config import CMD_PORT, IMD_PORT, DodoConfig
 from repro.core.descriptors import RegionKey, RegionStruct, RegionTableEntry
 from repro.core.errno import EINVAL, EIO, ENOMEM
 from repro.core.shard import ShardMap
@@ -615,7 +615,6 @@ class DodoRuntime:
 
     def _imd_call(self, struct: RegionStruct, method: str, args: dict,
                   data_bytes: int = 0):
-        from repro.core.config import IMD_PORT
         sock = self.endpoint.socket()
         rpc = RpcClient(sock)
         try:

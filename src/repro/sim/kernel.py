@@ -306,18 +306,12 @@ class Simulator:
 
     def process(self, generator) -> "Process":
         """Start a new process from a generator; see :class:`Process`."""
-        from repro.sim.process import Process
-
         return Process(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> "Event":
-        from repro.sim.process import AllOf
-
         return AllOf(self, list(events))
 
     def any_of(self, events: Iterable[Event]) -> "Event":
-        from repro.sim.process import AnyOf
-
         return AnyOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------
@@ -590,3 +584,8 @@ class Simulator:
             stop_evt.defused = True
             raise stop_evt.value
         return None
+
+
+# process.py subclasses Event and imports this module, so its classes are
+# bound here, once, after everything they need is defined (not per spawn)
+from repro.sim.process import AllOf, AnyOf, Process  # noqa: E402

@@ -21,7 +21,9 @@ that matter for reproducing the evaluation:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 from repro.metrics.recorder import Recorder
@@ -75,6 +77,11 @@ class File:
     name: str
     size: int = 0
     extents: list[Extent] = field(default_factory=list)
+    #: bytes the extents cover, and each extent's ``file_off`` in order
+    #: (``FileSystem._disk_runs`` bisects it); ``FileSystem._extend`` is
+    #: the only writer of these two fields and of ``extents``
+    allocated: int = 0
+    extent_starts: list[int] = field(default_factory=list)
     data: Optional[bytearray] = None
     nlink: int = 1
     #: readahead state: expected next sequential offset, current window,
@@ -177,11 +184,10 @@ class FileSystem:
     # -- layout --------------------------------------------------------------------
     def _extend(self, f: File, new_size: int) -> None:
         """Allocate extents so the file covers ``new_size`` bytes."""
-        allocated = sum(e.length for e in f.extents)
         p = self.params
         disk_cap = self.disk.params.capacity_bytes
-        while allocated < new_size:
-            want = new_size - allocated
+        while f.allocated < new_size:
+            want = new_size - f.allocated
             if p.extent_bytes is not None:
                 want = min(want, p.extent_bytes)
             if p.scatter:
@@ -197,8 +203,9 @@ class FileSystem:
                 self._next_disk_off += want
             if start + want > disk_cap:
                 raise FsError("out of disk space")
-            f.extents.append(Extent(allocated, start, want))
-            allocated += want
+            f.extents.append(Extent(f.allocated, start, want))
+            f.extent_starts.append(f.allocated)
+            f.allocated += want
         f.size = max(f.size, new_size)
         if f.data is not None and len(f.data) < new_size:
             f.data.extend(b"\x00" * (new_size - len(f.data)))
@@ -216,9 +223,14 @@ class FileSystem:
         """Map a byte range of the file to (disk_off, length) runs."""
         runs = []
         end = offset + n
-        for e in f.extents:
+        # extents tile the file back to back: start at the one holding
+        # ``offset`` and stop at the first past the range
+        first = max(bisect_right(f.extent_starts, offset) - 1, 0)
+        for e in islice(f.extents, first, None):
+            if e.file_off >= end:
+                break
             e_end = e.file_off + e.length
-            if e_end <= offset or e.file_off >= end:
+            if e_end <= offset:
                 continue
             lo = max(offset, e.file_off)
             hi = min(end, e_end)
@@ -279,8 +291,7 @@ class FileSystem:
             if tracer.enabled else None
         try:
             # Collect missing pages; fetch contiguous runs in single I/Os.
-            missing = [pg for pg in range(first_page, last_page)
-                       if not self.cache.touch((f.inode, pg))]
+            missing = self.cache.touch_range(f.inode, first_page, last_page)
             if span is not None:
                 span.tag("pages", last_page - first_page)
                 span.tag("misses", len(missing))
@@ -298,18 +309,24 @@ class FileSystem:
         return n, data
 
     def _fetch_pages(self, f: File, pages: list[int]):
-        """Read the listed (sorted) pages from disk and insert them."""
+        """Read the listed (sorted, distinct) pages from disk and insert
+        them."""
         ps = self.params.page_size
         writeback: list = []
+        n = len(pages)
         i = 0
-        while i < len(pages):
-            j = i
-            while j + 1 < len(pages) and pages[j + 1] == pages[j] + 1:
-                j += 1
+        while i < n:
+            # sorted and distinct, so pages[i:] is one run iff it spans
+            # exactly n - i page numbers; else walk to this run's end
+            j = n - 1
+            if pages[j] - pages[i] != j - i:
+                j = i
+                while pages[j + 1] == pages[j] + 1:
+                    j += 1
             start = pages[i] * ps
-            length = min((pages[j] + 1) * ps, self._alloc_size(f)) - start
+            length = min((pages[j] + 1) * ps, f.allocated) - start
             if length > 0:
-                runs = list(self._disk_runs(f, start, length))
+                runs = self._disk_runs(f, start, length)
                 if runs:
                     # One batch per contiguous page run: an uncontended
                     # fetch costs one event per extent instead of a
@@ -319,9 +336,6 @@ class FileSystem:
                 (f.inode, pg) for pg in pages[i:j + 1]))
             i = j + 1
         yield from self._writeback(writeback)
-
-    def _alloc_size(self, f: File) -> int:
-        return sum(e.length for e in f.extents)
 
     def _write(self, fh: FileHandle, offset: int, n: int,
                data: Optional[bytes]):
@@ -336,7 +350,7 @@ class FileSystem:
             return 0
         f = fh.file
         ps = self.params.page_size
-        if offset + n > self._alloc_size(f):
+        if offset + n > f.allocated:
             self._extend(f, offset + n)
         f.size = max(f.size, offset + n)
 
@@ -357,9 +371,9 @@ class FileSystem:
                     rmw.append(pg)
             yield from self._fetch_pages(f, sorted(set(rmw)))
 
-            writeback: list = []
-            for pg in range(first_page, last_page):
-                writeback.extend(self.cache.insert((f.inode, pg), dirty=True))
+            writeback = self.cache.insert_many(
+                ((f.inode, pg) for pg in range(first_page, last_page)),
+                dirty=True)
             if span is not None:
                 span.tag("rmw", len(rmw))
                 span.tag("writeback", len(writeback))
@@ -395,9 +409,9 @@ class FileSystem:
                 while j + 1 < len(pages) and pages[j + 1] == pages[j] + 1:
                     j += 1
                 start = pages[i] * ps
-                length = min((pages[j] + 1) * ps, self._alloc_size(f)) - start
+                length = min((pages[j] + 1) * ps, f.allocated) - start
                 if length > 0:
-                    runs = list(self._disk_runs(f, start, length))
+                    runs = self._disk_runs(f, start, length)
                     if runs:
                         yield self.disk.write_batch(runs)
                     self.stats.add("writeback.bytes", length)

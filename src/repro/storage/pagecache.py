@@ -52,6 +52,37 @@ class PageCache:
         self.stats.add("misses")
         return False
 
+    def touch_range(self, inode: int, first: int, last: int) -> list[int]:
+        """Reference pages ``first..last-1`` of ``inode`` in order; returns
+        the missing page numbers.
+
+        Equivalent to :meth:`touch` on each page, but each counter is
+        added once per call (in the order the page-by-page loop would
+        first increment it), and never with zero.
+        """
+        pages = self._pages
+        move_to_end = pages.move_to_end
+        missing = []
+        for pg in range(first, last):
+            key = (inode, pg)
+            if key in pages:
+                move_to_end(key)
+            else:
+                missing.append(pg)
+        misses = len(missing)
+        hits = len(range(first, last)) - misses
+        add = self.stats.add
+        if misses and missing[0] == first:
+            add("misses", misses)
+            if hits:
+                add("hits", hits)
+        else:
+            if hits:
+                add("hits", hits)
+            if misses:
+                add("misses", misses)
+        return missing
+
     def insert(self, key: PageKey, dirty: bool = False) -> list[PageKey]:
         """Make a page resident; returns evicted *dirty* pages needing
         write-back (clean evictions are simply dropped)."""
@@ -76,11 +107,33 @@ class PageCache:
 
         Exactly equivalent to calling :meth:`insert` on each key in
         sequence (same final LRU order, same evictions in the same
-        order), concatenating the write-back lists.
+        order, evicting after each insertion), concatenating the
+        write-back lists.  Each counter is added once per call, in
+        first-increment order, and never with zero.
         """
+        pages = self._pages
+        capacity = self.capacity_pages
         writeback: list[PageKey] = []
+        inserted = evicted = 0
         for key in keys:
-            writeback.extend(self.insert(key, dirty=dirty))
+            if key in pages:
+                pages[key] = pages[key] or dirty
+                pages.move_to_end(key)
+                continue
+            pages[key] = dirty
+            inserted += 1
+            while len(pages) > capacity:
+                old_key, old_dirty = pages.popitem(last=False)
+                evicted += 1
+                if old_dirty:
+                    writeback.append(old_key)
+        add = self.stats.add
+        if inserted:
+            add("insertions", inserted)
+        if evicted:
+            add("evictions", evicted)
+        if writeback:
+            add("evictions.dirty", len(writeback))
         return writeback
 
     def mark_dirty(self, key: PageKey) -> None:
@@ -117,6 +170,7 @@ class PageCache:
             old_key, old_dirty = self._pages.popitem(last=False)
             self.stats.add("evictions")
             if old_dirty:
+                self.stats.add("evictions.dirty")
                 writeback.append(old_key)
         return writeback
 

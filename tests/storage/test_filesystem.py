@@ -215,6 +215,24 @@ def test_random_access_resets_readahead(sim):
     assert run(sim, proc()) == 0
 
 
+def test_read_fetches_each_missing_run_once(sim):
+    fs = make_fs(sim, store_data=False)
+    fs.create("f", size=64 * 1024)
+    fh = fs.open("f")
+
+    def proc():
+        # two random single-page reads (no readahead), then a read over
+        # pages 0-7 that misses three runs: 0-1, 3-4 and 6-7
+        yield fs.read(fh, 2 * 4096, 4096)
+        yield fs.read(fh, 5 * 4096, 4096)
+        yield fs.read(fh, 0, 8 * 4096)
+
+    run(sim, proc())
+    assert fs.disk.stats.count("read.ops") == 5
+    assert fs.disk.stats.count("read.bytes") == 8 * 4096
+    assert len(fs.cache) == 8
+
+
 def test_eviction_writes_back_dirty_pages(sim):
     fs = make_fs(sim, cache_kb=64, store_data=False)  # tiny cache
     fh = fs.open("f", "r+")

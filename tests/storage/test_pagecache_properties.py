@@ -76,6 +76,9 @@ def test_resize_shrink_returns_dirty():
     writeback = c.resize(1 * PAGE)
     assert (1, 0) in writeback
     assert len(c) == 1
+    # a shrink counts its dirty evictions, as an insert does
+    assert c.summary()["evictions"] == 2
+    assert c.summary()["dirty_evictions"] == len(writeback)
 
 
 def test_validation():
