@@ -2,10 +2,9 @@
 
 The caching ablation (:mod:`repro.exp.cache`) replays the Figure 7
 and non-dedicated workloads under every eviction policy, then adds
-the hotspot-migration and adaptive-selection variants on the
-non-dedicated workload.  Every reported number is virtual-time-only
-and byte-identical per seed, so the gate compares the baseline
-exactly — no machine normalization.  See docs/CACHING.md for the
+the hotspot-migration variant on the non-dedicated workload.  Every
+reported number is virtual-time-only and byte-identical per seed, so
+the gate compares the baseline exactly — no machine normalization.  See docs/CACHING.md for the
 policy semantics and the migration protocol behind these numbers.
 
 The pytest tests run the claim pair (cost-aware reclaim with and
@@ -53,8 +52,6 @@ def _variant(row: dict) -> str:
     name = row["policy"]
     if row.get("migration"):
         name += "+migrate"
-    if row.get("adaptive"):
-        name += "+adapt"
     return f"{row['workload']}/{name}"
 
 
@@ -62,7 +59,7 @@ def _variant(row: dict) -> str:
 #: virtual-time simulation outcomes, not wall-clock measurements)
 _EXACT = ("seed", "requests", "local_hits", "remote_hits",
           "migrated_hits", "disk_reads", "remote_lost", "evictions",
-          "evicted_bytes", "entries_evicted", "switches", "elapsed_s")
+          "evicted_bytes", "entries_evicted", "elapsed_s")
 
 
 def check_cache(metrics: dict, baseline: dict) -> list[str]:

@@ -142,7 +142,7 @@ def cmd_nondedicated(args) -> None:
 
 def cmd_cache(args) -> None:
     """Elastic-caching ablation: eviction policies × workloads, plus
-    the migration and adaptive variants (docs/CACHING.md)."""
+    the migration variant (docs/CACHING.md)."""
     from repro.exp.cache import format_cache, run_cache_ablation
     try:
         results = run_cache_ablation(
@@ -375,8 +375,8 @@ COMMANDS: dict[str, tuple[str, Callable]] = {
                     cmd_serve_bench),
     "nondedicated": ("Section 5.3.1 desktop-cluster run", cmd_nondedicated),
     "ablations": ("design-choice ablations", cmd_ablations),
-    "cache": ("elastic-caching ablation: policies, migration, "
-              "online selection", cmd_cache),
+    "cache": ("elastic-caching ablation: policies and migration",
+              cmd_cache),
     "chaos": ("nemesis fault-injection run with invariant auditing",
               cmd_chaos),
     "sweep": ("parallel cached sweep over a grid of experiment points",
@@ -630,7 +630,7 @@ def _add_policy_args(p: argparse.ArgumentParser) -> None:
     (lru/random), ``whatif`` treats None as "keep the recorded value".
     """
     from repro.core.manager import PLACEMENTS
-    from repro.core.policies import POLICIES
+    from repro.core.policy import POLICIES
     p.add_argument("--replacement", default=None,
                    choices=sorted(POLICIES),
                    help="region-cache replacement policy")

@@ -7,8 +7,11 @@ Components (paper Section 4):
 * :mod:`repro.core.imd` — idle memory daemon: the guest-memory server
 * :mod:`repro.core.runtime` — libdodo: mopen/mread/mwrite/mclose/msync
 * :mod:`repro.core.regionlib` — libmanage: the region-management layer
-  (copen/cread/cwrite/cclose/csync/csetPolicy) with LRU/MRU/first-in
-  replacement and the grimReaper space reclaimer
+  (copen/cread/cwrite/cclose/csync/csetPolicy) and the grimReaper space
+  reclaimer
+* :mod:`repro.core.policy` — the replacement policies shared by the
+  local region cache and the donor pools (LRU/MRU/first-in/LFU/CLOCK/
+  cost-aware)
 * :mod:`repro.core.allocator` — imd pool allocators (first-fit + buddy)
 """
 
@@ -19,7 +22,7 @@ from repro.core.descriptors import RegionKey, RegionStruct, RegionTableEntry
 from repro.core.errno import EINVAL, EIO, ENOMEM, DodoError, errno_name
 from repro.core.imd import IdleMemoryDaemon
 from repro.core.manager import CentralManager
-from repro.core.policies import POLICIES, make_policy
+from repro.core.policy import POLICIES, make_policy
 from repro.core.regionlib import RegionCache
 from repro.core.rmd import ResourceMonitor
 from repro.core.runtime import DodoRuntime

@@ -52,25 +52,17 @@ class CacheConfig:
 
     Governs how the imd region pools behave as *caches* rather than
     plain allocators (docs/CACHING.md).  The default ``policy="none"``
-    reproduces the original system exactly — no eviction, no shadow
-    accounting, no migration, byte-identical event streams — so every
+    reproduces the original system exactly — no eviction, no heat
+    tracking, no migration, byte-identical event streams — so every
     paper experiment is unaffected unless a run opts in.
 
-    Accepted ``policy`` values: ``"none"`` (off), ``"lru"``, ``"lfu"``,
-    ``"clock"`` and ``"cost-aware"`` (GreedyDual-Size-Frequency); see
-    :data:`repro.core.policy.CACHE_POLICIES`.
+    Accepted ``policy`` values: ``"none"`` (off) or any name in
+    :data:`repro.core.policy.POLICIES` (``"lru"``, ``"mru"``,
+    ``"first-in"``, ``"lfu"``, ``"clock"``, ``"cost-aware"``).
     """
 
     #: donor-side eviction policy: "none" disables the subsystem
     policy: str = "none"
-    #: online policy selection: run shadow caches for every
-    #: ``shadow_policies`` candidate and switch the active policy when
-    #: its shadow trails the best one by ``adapt_min_regret`` hits over
-    #: an ``adapt_interval_s`` window (emits ``cache.switch`` records)
-    adaptive: bool = False
-    shadow_policies: tuple = ("lru", "lfu", "clock", "cost-aware")
-    adapt_interval_s: float = 5.0
-    adapt_min_regret: int = 8
     #: hotspot-aware reclaim: when a donor turns busy, the manager first
     #: migrates its hottest regions to other donors over the bulk fast
     #: path (bounded below) instead of letting reclaim evict them
@@ -82,19 +74,13 @@ class CacheConfig:
     migrate_max_bytes: int = 4 * MB
 
     def __post_init__(self):
-        """Validate policy names early (a typo should fail at config
+        """Validate the policy name early (a typo should fail at config
         construction with a clear message, not deep inside a daemon)."""
-        from repro.core.policy import CACHE_POLICIES
-        accepted = ("none",) + tuple(sorted(CACHE_POLICIES))
-        if self.policy not in accepted:
+        from repro.core.policy import POLICIES
+        if self.policy != "none" and self.policy not in POLICIES:
             raise ValueError(
                 f"unknown cache policy {self.policy!r}; choose from "
-                f"{sorted(accepted)}")
-        for name in self.shadow_policies:
-            if name not in CACHE_POLICIES:
-                raise ValueError(
-                    f"unknown shadow cache policy {name!r}; choose "
-                    f"from {sorted(CACHE_POLICIES)}")
+                f"{sorted(('none', *POLICIES))}")
 
     @property
     def enabled(self) -> bool:
@@ -131,9 +117,9 @@ class DodoConfig:
     #: (cycle through candidates in IWD order).  The what-if replayer
     #: (repro whatif) exists to compare these.
     placement: str = "random"
-    #: elastic-caching policy block: donor-side eviction policy, online
-    #: policy selection and hotspot-aware migration (docs/CACHING.md);
-    #: the default is completely inert
+    #: elastic-caching policy block: donor-side eviction policy and
+    #: hotspot-aware migration (docs/CACHING.md); the default is
+    #: completely inert
     cache: CacheConfig = field(default_factory=CacheConfig)
 
     # -- manager sharding / replication (PR 9) -------------------------------

@@ -18,11 +18,10 @@ counter, and serves four operations over its control port:
 With a :class:`~repro.core.config.CacheConfig` policy active the pool
 behaves as a cache: a full pool evicts cold regions in policy order
 (never one pinned by an in-flight transfer) instead of rejecting the
-allocation, every access feeds the policy (and, when adaptive, a set of
-shadow caches whose regret drives online policy switching), and the
-inventory reply can carry per-region heat for the manager's migration
-ordering.  ``policy="none"`` — the default — leaves all of this code
-unreachable and the daemon byte-identical to the paper's behavior.
+allocation, every access feeds the policy, and the inventory reply can
+carry per-region heat for the manager's migration ordering.
+``policy="none"`` — the default — leaves all of this code unreachable
+and the daemon byte-identical to the paper's behavior.
 
 On reclaim the daemon finishes in-flight transfers, then exits; every
 reply piggybacks the current largest free block so the central manager's
@@ -35,7 +34,7 @@ from typing import Optional
 
 from repro.core.allocator import make_allocator
 from repro.core.config import CMD_PORT, IMD_PORT, DodoConfig
-from repro.core.policy import PolicySelector, make_cache_policy
+from repro.core.policy import make_policy
 from repro.core.shard import ShardMap
 from repro.cluster.workstation import Workstation
 from repro.metrics.recorder import Recorder
@@ -106,19 +105,11 @@ class IdleMemoryDaemon:
         #: manager only discovers the death lazily (RPC timeout)
         self.killed = False
         #: elastic caching (docs/CACHING.md): eviction policy over hosted
-        #: regions, shadow caches for online selection, and transfer pins
-        #: that protect in-flight regions from eviction.  All None/empty
-        #: with the default ``cache.policy="none"``.
+        #: regions and transfer pins that protect in-flight regions from
+        #: eviction.  None/empty with the default ``cache.policy="none"``.
         cache = config.cache
-        self.cache_policy = (make_cache_policy(cache.policy)
+        self.cache_policy = (make_policy(cache.policy)
                              if cache.enabled else None)
-        self.cache_selector = None
-        self._adapter = None
-        if cache.enabled and cache.adaptive:
-            self.cache_selector = PolicySelector(
-                cache.policy, cache.shadow_policies, pool_bytes,
-                min_regret=cache.adapt_min_regret)
-            self._adapter = sim.process(self._adapt_loop())
         #: refcount of in-flight transfers per region (eviction shield)
         self._pinned: dict[int, int] = {}
         #: per-allocation generation stamps: eviction can re-allocate a
@@ -269,8 +260,6 @@ class IdleMemoryDaemon:
             self._coalescer.interrupt("imd-exit")
         if self._reregister is not None and self._reregister.is_alive:
             self._reregister.interrupt("imd-exit")
-        if self._adapter is not None and self._adapter.is_alive:
-            self._adapter.interrupt("imd-exit")
         self.ws.guest_memory -= self.pool_bytes
         self.pool = None
         self.exited = True
@@ -308,8 +297,6 @@ class IdleMemoryDaemon:
             self._coalescer.interrupt("host-crash")
         if self._reregister is not None and self._reregister.is_alive:
             self._reregister.interrupt("host-crash")
-        if self._adapter is not None and self._adapter.is_alive:
-            self._adapter.interrupt("host-crash")
         self.ws.guest_memory -= self.pool_bytes
         self.pool = None
         self.exited = True
@@ -337,22 +324,15 @@ class IdleMemoryDaemon:
     def _cache_insert(self, offset: int, size: int) -> None:
         if self.cache_policy is not None:
             self.cache_policy.on_insert(offset, size)
-        if self.cache_selector is not None:
-            self.cache_selector.access(offset, size)
 
     def _cache_remove(self, offset: int) -> None:
         self._region_gen.pop(offset, None)
         if self.cache_policy is not None:
             self.cache_policy.on_remove(offset)
-        if self.cache_selector is not None:
-            self.cache_selector.remove(offset)
 
     def _note_access(self, offset: int) -> None:
         if self.cache_policy is not None:
             self.cache_policy.on_access(offset)
-        if self.cache_selector is not None:
-            self.cache_selector.access(offset,
-                                       self._regions.get(offset, 0))
 
     def _pin(self, offset: int) -> None:
         self._pinned[offset] = self._pinned.get(offset, 0) + 1
@@ -395,36 +375,6 @@ class IdleMemoryDaemon:
                     self.sim, "imd", "cache.evict", host=self.ws.name,
                     epoch=self.epoch, region_id=victim, bytes=bytes_out)
         return evicted
-
-    def _adapt_loop(self):
-        """Online policy selection: at each sample point compare the
-        shadow caches' window hit counts and switch the active policy
-        when its regret exceeds the configured threshold."""
-        from repro.sim import Interrupt
-        try:
-            while True:
-                yield self.sim.timeout(self.config.cache.adapt_interval_s)
-                if self.exited or self.stopping:
-                    return
-                choice = self.cache_selector.recommend()
-                if choice is not None:
-                    self._switch_policy(choice)
-        except Interrupt:
-            return
-
-    def _switch_policy(self, name: str) -> None:
-        """Swap the active eviction policy, re-registering every hosted
-        region so the new policy starts from the current pool contents
-        (recency/frequency state does not carry over — documented in
-        docs/CACHING.md)."""
-        self.cache_policy = make_cache_policy(name)
-        for offset in sorted(self._regions):
-            self.cache_policy.on_insert(offset, self._regions[offset])
-        self.stats.add("cache.switches")
-        if self.sim.eventlog.enabled:
-            self.sim.eventlog.info(
-                self.sim, "imd", "cache.switch", host=self.ws.name,
-                epoch=self.epoch, policy=name)
 
     # -- RPC handlers -----------------------------------------------------------------
     def _h_ping(self, args: dict, src) -> dict:

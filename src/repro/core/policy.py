@@ -1,38 +1,40 @@
-"""Pluggable caching policies for the imd region cache (Ditto-style).
+"""Region-replacement policies for both of Dodo's region caches.
 
-Dodo's guest-memory pools are *caches* of file regions: when a pool
-fills, the original system simply rejected the allocation, and when a
-donor turned busy, reclaim evicted everything.  This module makes both
-decisions pluggable, following the elastic/adaptive caching design of
-Ditto (see SNIPPETS.md):
+Sections 3.3 and 4.5: the region-management library is modularized so a
+policy is just (a) a pair of state-management procedures invoked on
+every access and (b) a reclamation procedure that picks a victim.  One
+interface, :class:`CachePolicy`, serves both caches:
 
-* :class:`CachePolicy` — the eviction-order interface.  Policies rank
-  the regions an imd hosts; when an allocation does not fit, the daemon
-  evicts victims in policy order (never a *pinned* region — one with an
-  in-flight transfer) until the request fits or no victim remains.
-* Four implementations: :class:`LruCachePolicy` (recency),
-  :class:`LfuCachePolicy` (frequency), :class:`ClockCachePolicy`
-  (second-chance reference bits) and :class:`CostAwareCachePolicy`
-  (GreedyDual-Size-Frequency: refetch-cost-weighted, so small regions —
-  whose refetch is dominated by the disk seek — and hot regions are
-  kept over large cold streaming ones).
-* :class:`ShadowCache` — a metadata-only simulation of one policy over
-  the same access stream and capacity, counting the hits that policy
-  *would* have had.
-* :class:`PolicySelector` — the online adaptation engine: it feeds
-  every candidate policy's shadow cache, tracks each one's *regret*
-  (best shadow hits minus active-policy shadow hits), and recommends a
-  switch when the active policy has fallen behind by a configured
-  margin.  The imd runs it at a fixed virtual-time cadence and emits
-  ``cache.switch`` event-log records on every change.
+* the client's local region cache (:class:`~repro.core.regionlib.RegionCache`,
+  paper Figure 5), keyed by region descriptor;
+* each imd's donor pool when elastic caching is on
+  (:class:`~repro.core.config.CacheConfig`, docs/CACHING.md), keyed by
+  pool offset.  A full pool evicts in policy order (never a *pinned*
+  region, one with an in-flight transfer) instead of rejecting the
+  allocation, and :meth:`CachePolicy.heat` orders the manager's
+  hotspot migration.  This side follows Ditto's elastic caching design
+  (SNIPPETS.md).
+
+Six policies ship:
+
+* ``lru`` — evict the least recently used region (the library default);
+* ``mru`` — evict the most recently used (useful for cyclic scans
+  larger than the cache);
+* ``first-in`` — cache regions in first-access order and *never replace
+  them*; motivated by Uysal et al.'s finding that data-intensive
+  applications overwhelmingly do sequential/triangle scans, where LRU
+  flushes the whole cache every pass and first-in keeps a stable prefix.
+  Its victim is always None: newcomers bypass the client cache, and a
+  full donor pool rejects the allocation;
+* ``lfu`` — evict the region with the fewest accesses;
+* ``clock`` — second-chance reference bits, LRU-like at O(1) per access;
+* ``cost-aware`` — GreedyDual-Size-Frequency: refetch-cost-weighted, so
+  small regions (whose refetch is dominated by the disk seek) and hot
+  regions are kept over large cold streaming ones.
 
 Everything here is deterministic: no wall clock, no RNG — victim order
 is a pure function of the access history, so identically-seeded runs
 evict identically.
-
-Distinct from :mod:`repro.core.policies`, which holds the *client-side*
-local-cache replacement policies of paper Figure 5; this module governs
-the *donor-side* region pools and the manager's migration decisions.
 """
 
 from __future__ import annotations
@@ -49,13 +51,13 @@ SEEK_COST_BYTES = 256 * 1024
 
 
 class CachePolicy:
-    """Eviction-order interface for one imd's region pool.
+    """Replacement-order interface for one region cache.
 
-    Keys are pool offsets (ints); ``size`` is the region's logical
-    length in bytes.  Implementations must be fully deterministic:
-    ties break toward the smallest key.
+    Keys are region descriptors (client) or pool offsets (donor);
+    ``size`` is the region's logical length in bytes.  Implementations
+    must be fully deterministic: ties break toward the smallest key.
 
-    Lifecycle: :meth:`on_insert` when a region is placed,
+    Lifecycle: :meth:`on_insert` when a region becomes cached,
     :meth:`on_access` on every read/write touch, :meth:`on_remove` when
     it is freed, evicted or migrated away.  :meth:`victim` returns the
     next region to evict (skipping ``pinned`` keys) or None.
@@ -65,6 +67,8 @@ class CachePolicy:
 
     def __init__(self) -> None:
         self._sizes: dict[int, int] = {}
+        #: accesses since each cached key's last :meth:`on_insert`
+        self._heat: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._sizes)
@@ -81,16 +85,19 @@ class CachePolicy:
     def heat(self, key: int) -> int:
         """Access count since insertion (the manager's migration
         ordering signal); 0 for unknown keys."""
-        return 0
+        return self._heat.get(key, 0)
 
     def on_insert(self, key: int, size: int) -> None:
         self._sizes[key] = size
+        self._heat[key] = 0
 
-    def on_access(self, key: int) -> None:  # noqa: B027 - optional hook
-        pass
+    def on_access(self, key: int) -> None:
+        if key in self._heat:
+            self._heat[key] += 1
 
     def on_remove(self, key: int) -> None:
         self._sizes.pop(key, None)
+        self._heat.pop(key, None)
 
     def victim(self, pinned: Optional[set] = None) -> Optional[int]:
         raise NotImplementedError
@@ -103,34 +110,51 @@ class LruCachePolicy(CachePolicy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._order: OrderedDict[int, int] = OrderedDict()
-        self._heat: dict[int, int] = {}
-
-    def heat(self, key: int) -> int:
-        return self._heat.get(key, 0)
+        self._order: OrderedDict[int, None] = OrderedDict()
 
     def on_insert(self, key: int, size: int) -> None:
         super().on_insert(key, size)
-        self._order[key] = 0
+        self._order[key] = None
         self._order.move_to_end(key)
-        self._heat[key] = 0
 
     def on_access(self, key: int) -> None:
         if key in self._order:
             self._order.move_to_end(key)
-            self._heat[key] = self._heat.get(key, 0) + 1
+            self._heat[key] += 1
 
     def on_remove(self, key: int) -> None:
         super().on_remove(key)
         self._order.pop(key, None)
-        self._heat.pop(key, None)
 
     def victim(self, pinned: Optional[set] = None) -> Optional[int]:
         pinned = pinned or ()
-        for key in self._order:
+        for key in self._order:  # oldest first
             if key not in pinned:
                 return key
         return None
+
+
+class MruCachePolicy(LruCachePolicy):
+    """Most-recently-used: evict the region touched last (good for
+    cyclic scans larger than the cache)."""
+
+    name = "mru"
+
+    def victim(self, pinned: Optional[set] = None) -> Optional[int]:
+        pinned = pinned or ()
+        for key in reversed(self._order):  # newest first
+            if key not in pinned:
+                return key
+        return None
+
+
+class FirstInPolicy(CachePolicy):
+    """Cache in first-access order; once cached, never replaced."""
+
+    name = "first-in"
+
+    def victim(self, pinned: Optional[set] = None) -> Optional[int]:
+        return None  # refuse: newcomers bypass the cache instead
 
 
 class LfuCachePolicy(CachePolicy):
@@ -142,34 +166,28 @@ class LfuCachePolicy(CachePolicy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._freq: dict[int, int] = {}
         self._tick = 0
         self._last: dict[int, int] = {}
 
-    def heat(self, key: int) -> int:
-        return self._freq.get(key, 0)
-
     def on_insert(self, key: int, size: int) -> None:
         super().on_insert(key, size)
-        self._freq[key] = 0
         self._tick += 1
         self._last[key] = self._tick
 
     def on_access(self, key: int) -> None:
-        if key in self._freq:
-            self._freq[key] += 1
+        if key in self._heat:
+            self._heat[key] += 1
             self._tick += 1
             self._last[key] = self._tick
 
     def on_remove(self, key: int) -> None:
         super().on_remove(key)
-        self._freq.pop(key, None)
         self._last.pop(key, None)
 
     def victim(self, pinned: Optional[set] = None) -> Optional[int]:
         pinned = pinned or ()
         best = None
-        for key, freq in self._freq.items():
+        for key, freq in self._heat.items():
             if key in pinned:
                 continue
             rank = (freq, self._last[key], key)
@@ -187,27 +205,22 @@ class ClockCachePolicy(CachePolicy):
 
     def __init__(self) -> None:
         super().__init__()
-        #: insertion-ordered ring of (key -> reference bit)
+        #: insertion-ordered ring of (key -> reference bit); re-inserting
+        #: a held key keeps its place on the ring
         self._ref: OrderedDict[int, bool] = OrderedDict()
-        self._heat: dict[int, int] = {}
-
-    def heat(self, key: int) -> int:
-        return self._heat.get(key, 0)
 
     def on_insert(self, key: int, size: int) -> None:
         super().on_insert(key, size)
         self._ref[key] = False
-        self._heat[key] = 0
 
     def on_access(self, key: int) -> None:
         if key in self._ref:
             self._ref[key] = True
-            self._heat[key] = self._heat.get(key, 0) + 1
+            self._heat[key] += 1
 
     def on_remove(self, key: int) -> None:
         super().on_remove(key)
         self._ref.pop(key, None)
-        self._heat.pop(key, None)
 
     def victim(self, pinned: Optional[set] = None) -> Optional[int]:
         pinned = pinned or ()
@@ -244,31 +257,25 @@ class CostAwareCachePolicy(CachePolicy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._freq: dict[int, int] = {}
         self._prio: dict[int, float] = {}
         self._clock = 0.0
-
-    def heat(self, key: int) -> int:
-        return self._freq.get(key, 0)
 
     def _priority(self, key: int) -> float:
         size = max(1, self._sizes.get(key, 1))
         cost = SEEK_COST_BYTES + size
-        return self._clock + (1 + self._freq.get(key, 0)) * cost / size
+        return self._clock + (1 + self._heat.get(key, 0)) * cost / size
 
     def on_insert(self, key: int, size: int) -> None:
         super().on_insert(key, size)
-        self._freq[key] = 0
         self._prio[key] = self._priority(key)
 
     def on_access(self, key: int) -> None:
-        if key in self._freq:
-            self._freq[key] += 1
+        if key in self._heat:
+            self._heat[key] += 1
             self._prio[key] = self._priority(key)
 
     def on_remove(self, key: int) -> None:
         super().on_remove(key)
-        self._freq.pop(key, None)
         self._prio.pop(key, None)
 
     def victim(self, pinned: Optional[set] = None) -> Optional[int]:
@@ -286,132 +293,24 @@ class CostAwareCachePolicy(CachePolicy):
         return best[1]
 
 
-#: registry of donor-side cache policies, by config name
-CACHE_POLICIES: dict[str, type] = {
+#: every replacement policy, by config name
+POLICIES: dict[str, type[CachePolicy]] = {
     "lru": LruCachePolicy,
+    "mru": MruCachePolicy,
+    "first-in": FirstInPolicy,
     "lfu": LfuCachePolicy,
     "clock": ClockCachePolicy,
     "cost-aware": CostAwareCachePolicy,
 }
 
 
-def make_cache_policy(name: str) -> CachePolicy:
+def make_policy(name: str) -> CachePolicy:
     """Instantiate a registered policy; ``ValueError`` for unknown names
     (listing the accepted ones, so the CLI error is self-explanatory)."""
     try:
-        cls = CACHE_POLICIES[name]
+        cls = POLICIES[name]
     except KeyError:
         raise ValueError(
-            f"unknown cache policy {name!r}; choose from "
-            f"{sorted(CACHE_POLICIES)}") from None
+            f"unknown policy {name!r}; choose from "
+            f"{sorted(POLICIES)}") from None
     return cls()
-
-
-class ShadowCache:
-    """Metadata-only what-if simulation of one policy.
-
-    Fed the same (key, size) access stream as the real pool with the
-    same byte capacity, it tracks which regions the policy *would* be
-    holding and counts hits/misses — the per-policy signal the online
-    selector compares.  Costs nothing but a dict per policy; no bytes
-    move.
-    """
-
-    def __init__(self, policy_name: str, capacity_bytes: int):
-        self.policy = make_cache_policy(policy_name)
-        self.capacity = capacity_bytes
-        self.used = 0
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def name(self) -> str:
-        return self.policy.name
-
-    def access(self, key: int, size: int) -> bool:
-        """Record one access; returns True on a (shadow) hit."""
-        if key in self.policy:
-            self.hits += 1
-            self.policy.on_access(key)
-            return True
-        self.misses += 1
-        if size > self.capacity:
-            return False
-        while self.used + size > self.capacity:
-            victim = self.policy.victim()
-            if victim is None:  # pragma: no cover - defensive
-                return False
-            self.used -= self.policy.size_of(victim)
-            self.policy.on_remove(victim)
-        self.policy.on_insert(key, size)
-        self.used += size
-        return False
-
-    def remove(self, key: int) -> None:
-        """Mirror a real free/migration (the region left the pool)."""
-        if key in self.policy:
-            self.used -= self.policy.size_of(key)
-            self.policy.on_remove(key)
-
-
-class PolicySelector:
-    """Online policy selection by shadow-cache regret.
-
-    One per imd.  Every access feeds all candidate shadows; at each
-    adaptation point (the imd runs :meth:`recommend` on a virtual-time
-    cadence aligned with telemetry sampling) the selector compares
-    shadow hit counts over the window just ended.  If some candidate
-    beat the active policy's shadow by at least ``min_regret`` hits, it
-    recommends switching.  Counters then reset, so each window is
-    judged on fresh evidence (a policy that was right for phase one
-    does not coast through phase two).
-    """
-
-    def __init__(self, active: str, candidates: Iterable[str],
-                 capacity_bytes: int, min_regret: int = 8):
-        names = list(dict.fromkeys(candidates))
-        if active not in names:
-            names.insert(0, active)
-        self.shadows = {name: ShadowCache(name, capacity_bytes)
-                        for name in names}
-        self.active = active
-        self.min_regret = min_regret
-        self.switches = 0
-
-    def access(self, key: int, size: int) -> None:
-        for shadow in self.shadows.values():
-            shadow.access(key, size)
-
-    def remove(self, key: int) -> None:
-        for shadow in self.shadows.values():
-            shadow.remove(key)
-
-    def window_hits(self) -> dict[str, int]:
-        """Current window's shadow hits per policy (stable key order)."""
-        return {name: self.shadows[name].hits
-                for name in sorted(self.shadows)}
-
-    def regret(self) -> int:
-        """How far the active policy trails the best candidate this
-        window (>= 0; 0 when the active policy is the best)."""
-        best = max(s.hits for s in self.shadows.values())
-        return best - self.shadows[self.active].hits
-
-    def recommend(self) -> Optional[str]:
-        """End the window: return the policy to switch to, or None to
-        stay.  Ties break toward the alphabetically-first name so runs
-        are deterministic; counters reset either way."""
-        hits = self.window_hits()
-        best = max(hits.values())
-        choice = None
-        if best - hits[self.active] >= self.min_regret:
-            choice = min(n for n, h in hits.items() if h == best)
-            if choice == self.active:  # pragma: no cover - defensive
-                choice = None
-        for shadow in self.shadows.values():
-            shadow.hits = 0
-            shadow.misses = 0
-        if choice is not None:
-            self.active = choice
-            self.switches += 1
-        return choice

@@ -7,11 +7,12 @@ four states —
 
 1. cached locally, 2. cached remotely, 3. cached both, 4. on disk only —
 
-using a pluggable replacement policy (LRU default, MRU, first-in).  When
-local space runs out, the **grimReaper** procedure (paper Figure 5) evicts
-a victim: dirty data goes to disk, the region is cloned to remote memory
-if the cluster has space (allocation failures trigger the runtime's
-refraction period), and the local entry is removed either way.
+using a pluggable replacement policy (:mod:`repro.core.policy`; LRU by
+default, MRU and first-in as in the paper).  When local space runs out,
+the **grimReaper** procedure (paper Figure 5) evicts a victim: dirty data
+goes to disk, the region is cloned to remote memory if the cluster has
+space (allocation failures trigger the runtime's refraction period), and
+the local entry is removed either way.
 
 API mirrors Figure 4: ``copen / cread / cwrite / cclose / csync /
 csetPolicy``, all with the C-style ``(value, errno)`` returns of the
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.errno import EINVAL, EIO, ENOMEM
-from repro.core.policies import ReplacementPolicy, make_policy
+from repro.core.policy import CachePolicy, make_policy
 from repro.core.runtime import DodoRuntime
 from repro.metrics.recorder import Recorder
 from repro.storage.filesystem import FsError
@@ -85,7 +86,7 @@ class RegionCache:
         self.sim = runtime.sim
         self.ws = runtime.ws
         self.local_bytes = local_bytes
-        self.policy: ReplacementPolicy = make_policy(policy)
+        self.policy: CachePolicy = make_policy(policy)
         #: EXTENSION (not in the paper's implementation; cf. its citation
         #: of Voelker et al.'s cooperative prefetching): on a sequential
         #: region-access pattern, pull the next N regions toward the
@@ -121,7 +122,7 @@ class RegionCache:
             return -1
         for crd, region in self.directory.items():
             if region.is_local:
-                new.on_insert(crd)
+                new.on_insert(crd, region.length)
         self.policy = new
         return 0
 
@@ -178,7 +179,7 @@ class RegionCache:
     def _cread_inner(self, region: CRegion, offset: int, length: int):
         crd = region.crd
         length = min(length, region.length - offset)
-        self.policy.on_read(crd)
+        self.policy.on_access(crd)
 
         if region.loading:
             # a prefetch is already transferring this region: join it
@@ -250,7 +251,7 @@ class RegionCache:
         length = min(length, region.length - offset)
         if data is not None and len(data) < length:
             return -1, EINVAL
-        self.policy.on_write(crd)
+        self.policy.on_access(crd)
 
         span = self._span("cwrite", {"crd": crd, "bytes": length,
                                      "state": region.state})
@@ -369,7 +370,7 @@ class RegionCache:
         space was freed.
         """
         while self.local_free < needed:
-            victim_crd = self.policy.select_victim(self.directory)
+            victim_crd = self.policy.victim()
             if victim_crd is None:
                 return False  # policy refuses (first-in) or cache empty
             victim = self.directory.get(victim_crd)
@@ -595,7 +596,7 @@ class RegionCache:
             if not ok:
                 self._local_used -= region.length
         region.dirty = False
-        self.policy.on_insert(region.crd)
+        self.policy.on_insert(region.crd, region.length)
         self.stats.add("local_loads")
         return True
 

@@ -2,10 +2,10 @@
 
 The elastic-caching subsystem (docs/CACHING.md) turns the imd pools
 from plain allocators into managed caches: a pluggable eviction policy
-(:mod:`repro.core.policy`), an online policy selector, and hotspot-aware
-migration that moves a busy donor's hot regions to another donor instead
-of letting reclaim destroy them.  This driver measures what each piece
-buys, on two deliberately different workloads:
+(:mod:`repro.core.policy`) and hotspot-aware migration that moves a busy
+donor's hot regions to another donor instead of letting reclaim destroy
+them.  This driver measures what each piece buys, on two deliberately
+different workloads:
 
 * ``nondedicated`` — the Section 5.3.1 desktop cluster with owners that
   come and go faster than the stock experiment, so reclaims land in the
@@ -19,7 +19,7 @@ buys, on two deliberately different workloads:
 
 ``run_cache`` executes one cell of the ablation and returns plain
 JSON-safe counters; ``run_cache_ablation`` sweeps the policy axis on
-both workloads, adds the migration and adaptive variants, and computes
+both workloads, adds the cost-aware migration variant, and computes
 the headline claim — cost-aware migration reduces disk refetches
 relative to evict-only reclaim on the non-dedicated workload — which
 ``benchmarks/BENCH_cache.json`` records and CI gates on.  Grid runs go
@@ -48,7 +48,7 @@ ABLATION_POLICIES = ("none", "lru", "lfu", "clock", "cost-aware")
 REGION_BYTES = 64 * 1024
 
 
-def _cache_config(policy: str, migration: bool, adaptive: bool,
+def _cache_config(policy: str, migration: bool,
                   migrate_max_bytes: int = 2 * MB) -> CacheConfig:
     """Build the ``DodoConfig.cache`` block for one ablation cell.
 
@@ -61,30 +61,25 @@ def _cache_config(policy: str, migration: bool, adaptive: bool,
         raise ValueError(
             "cache migration needs an eviction policy for heat tracking "
             "(policy='none' disables the cache subsystem entirely)")
-    if adaptive and policy == "none":
-        raise ValueError(
-            "adaptive policy selection needs a starting policy "
-            "(policy='none' disables the cache subsystem entirely)")
     return CacheConfig(policy=policy, migration=migration,
-                       adaptive=adaptive,
                        migrate_max_bytes=migrate_max_bytes)
 
 
 def run_cache(policy: str = "none", migration: bool = False,
-              adaptive: bool = False, workload: str = "nondedicated",
-              seed: int = 9, num_iter: int = 6) -> dict:
+              workload: str = "nondedicated", seed: int = 9,
+              num_iter: int = 6) -> dict:
     """Run one ablation cell; returns a flat dict of counters.
 
     The interesting outputs: ``disk_reads`` (refetches — lower is
     better), ``remote_hits``/``migrated_hits`` (reads served from donor
     memory; ``migrated_hits`` counts the ones a migration saved),
-    ``evictions``/``switches`` (donor-side policy activity) and the
-    ``migrations`` sub-dict (manager-side protocol counters).
+    ``evictions`` (donor-side policy activity) and the ``migrations``
+    sub-dict (manager-side protocol counters).
     """
     if workload not in CACHE_WORKLOADS:
         raise ValueError(f"unknown cache workload {workload!r}, "
                          f"expected one of {CACHE_WORKLOADS}")
-    cache_cfg = _cache_config(policy, migration, adaptive)
+    cache_cfg = _cache_config(policy, migration)
     if workload == "nondedicated":
         return _run_nondedicated_cell(cache_cfg, seed, num_iter)
     return _run_fig7_cell(cache_cfg, seed, num_iter)
@@ -146,7 +141,6 @@ def _collect(cache_cfg: CacheConfig, workload: str, seed: int, res,
         "workload": workload,
         "policy": cache_cfg.policy,
         "migration": cache_cfg.migration,
-        "adaptive": cache_cfg.adaptive,
         "seed": seed,
         "elapsed_s": res.elapsed_s,
         "requests": res.requests,
@@ -159,8 +153,6 @@ def _collect(cache_cfg: CacheConfig, workload: str, seed: int, res,
                              for i in imds)),
         "evicted_bytes": int(sum(i.stats.count("cache.evicted_bytes")
                                  for i in imds)),
-        "switches": int(sum(i.stats.count("cache.switches")
-                            for i in imds)),
         "entries_evicted": int(ms.count("cache.entries_evicted")),
         "migrations": {
             "attempted": int(ms.count("migrate.attempted")),
@@ -174,8 +166,8 @@ def _collect(cache_cfg: CacheConfig, workload: str, seed: int, res,
 def run_cache_ablation(seed: int = 9, num_iter: int = 6,
                        policies=ABLATION_POLICIES,
                        workloads=CACHE_WORKLOADS) -> dict:
-    """The full ablation: policies × workloads, plus the migration and
-    adaptive variants on the non-dedicated workload.
+    """The full ablation: policies × workloads, plus the migration
+    variant on the non-dedicated workload.
 
     Returns ``{"rows": [...], "claim": {...}}`` where ``claim`` compares
     cost-aware reclaim with and without migration — the pair the
@@ -199,9 +191,6 @@ def run_cache_ablation(seed: int = 9, num_iter: int = 6,
                         workload="nondedicated", seed=seed,
                         num_iter=num_iter)
     rows.append(migrate)
-    rows.append(run_cache(policy="lru", adaptive=True,
-                          workload="nondedicated", seed=seed,
-                          num_iter=num_iter))
     claim = {
         "workload": "nondedicated",
         "policy": "cost-aware",
@@ -225,8 +214,6 @@ def format_cache(results: dict) -> str:
         variant = r["policy"]
         if r["migration"]:
             variant += "+migrate"
-        if r["adaptive"]:
-            variant += "+adapt"
         rows.append([
             r["workload"], variant, r["requests"], r["local_hits"],
             r["remote_hits"], r["migrated_hits"], r["disk_reads"],

@@ -51,7 +51,7 @@ beat the receiver's NACK deadline, any ACK that would not strictly beat
 the sender's probe deadline, any blast that would overflow the receive
 buffer — and the planner refuses, falling back to the packet path.  Loss,
 contention, a missing or mismatched receiver, or a downed NIC likewise
-disengage it (``Network.bulk_active`` and the NIC engine states are
+disengage it (``Network.inflight`` and the NIC engine states are
 consulted at engage time).  Mid-transfer host failures are caught by the
 abort event armed on the transfer's :class:`~repro.net.network.BulkToken`:
 a NIC going down fires it, and both ends then emulate the packet path's
@@ -229,11 +229,11 @@ def _fast_clearance(sock: USocket, dst: tuple[str, int],
     if not (src_nic.quiescent and dst_nic.quiescent):
         return None
     # This transfer already registered itself on both hosts, so a count
-    # above one means somebody else's transfer is in flight there.  A
-    # fast-path datagram in flight occupies an engine at a *future*
-    # instant this plan cannot see, so it disqualifies the hosts too.
+    # above one means another bulk transfer or a fast-path datagram is
+    # in flight there (the datagram occupies an engine at a *future*
+    # instant this plan cannot see).
     for host in {ep.addr, dst[0]}:
-        if net.bulk_active(host) != 1 or net.dgram_inflight(host):
+        if net.inflight(host) != 1:
             return None
     return dst_sock
 

@@ -54,15 +54,14 @@ class Network:
         self._loss_rng = sim.rng("net.loss")
         #: in-flight bulk transfers, for fast-path contention clearance
         self._bulk_tokens: list[BulkToken] = []
-        self._bulk_counts: dict[str, int] = {}
+        #: per host, the registered bulk transfers plus the fast-path
+        #: datagrams in flight that touch it; both fast paths engage
+        #: only over hosts no other traffic holds (see :meth:`inflight`)
+        self._inflight: dict[str, int] = {}
         #: engage the flow-level datagram fast path (see fast_transmit);
         #: timing-identical to the packet path, False forces every
         #: datagram through the packet-by-packet simulation
         self.dgram_fastpath: bool = True
-        #: hosts touched by in-flight fast-path datagrams; the bulk fast
-        #: path consults these counts (its closed-form plan must not
-        #: overlap a pending analytic RX occupancy it cannot see)
-        self._dgram_inflight: dict[str, int] = {}
         #: fault injection: extra per-frame loss probability folded into
         #: every endpoint's own loss model (nemesis loss bursts)
         self.extra_loss_prob: float = 0.0
@@ -90,34 +89,34 @@ class Network:
     def hosts(self) -> list[str]:
         return list(self._nics)
 
-    # -- bulk-transfer registry ------------------------------------------------
+    # -- in-flight registry ----------------------------------------------------
     # Every bulk transfer (packet or fast path) registers the hosts it
-    # touches for its duration.  The fast path consults these counts to
-    # detect competing transfers and falls back to the packet path when a
-    # host is already busy; it also arms the token's abort event so a NIC
-    # going down mid-flight cancels the analytic completion.
+    # touches for its duration, and so does every fast-path datagram.
+    # Both fast paths consult these counts to detect competing traffic
+    # and fall back to the packet path when a host is already busy: a
+    # fast datagram occupies an engine at a *future* instant no
+    # closed-form plan can see.  The bulk path also arms the token's
+    # abort event so a NIC going down mid-flight cancels the analytic
+    # completion.
 
     def bulk_begin(self, src: str, dst: str) -> BulkToken:
         token = BulkToken((src,) if src == dst else (src, dst))
-        counts = self._bulk_counts
+        counts = self._inflight
         for h in token.hosts:
             counts[h] = counts.get(h, 0) + 1
         self._bulk_tokens.append(token)
         return token
 
     def bulk_end(self, token: BulkToken) -> None:
-        counts = self._bulk_counts
+        counts = self._inflight
         for h in token.hosts:
             counts[h] -= 1
         self._bulk_tokens.remove(token)
 
-    def bulk_active(self, host: str) -> int:
-        """Number of registered bulk transfers touching ``host``."""
-        return self._bulk_counts.get(host, 0)
-
-    def dgram_inflight(self, host: str) -> int:
-        """Number of in-flight fast-path datagrams touching ``host``."""
-        return self._dgram_inflight.get(host, 0)
+    def inflight(self, host: str) -> int:
+        """Registered bulk transfers plus in-flight fast-path datagrams
+        touching ``host``."""
+        return self._inflight.get(host, 0)
 
     def fast_arm(self, token: BulkToken):
         """Arm (and return) the token's mid-transfer abort event."""
@@ -305,11 +304,9 @@ class Network:
             return None
         if not (src_nic.quiescent and dst_nic.quiescent):
             return None
-        counts = self._bulk_counts
-        inflight = self._dgram_inflight
+        inflight = self._inflight
         src, dst = dgram.src, dgram.dst
-        if counts.get(src, 0) or counts.get(dst, 0) \
-                or inflight.get(src, 0) or inflight.get(dst, 0):
+        if inflight.get(src, 0) or inflight.get(dst, 0):
             return None
 
         # The packet path's exact schedule, replayed float-for-float:

@@ -42,7 +42,7 @@ class WhatIfPolicy:
     """The replayable policy surface of one run.
 
     ``replacement`` is the region-cache policy
-    (:data:`repro.core.policies.POLICIES`); ``placement`` the manager's
+    (:data:`repro.core.policy.POLICIES`); ``placement`` the manager's
     candidate choice (:data:`repro.core.manager.PLACEMENTS`);
     ``idle_window_s`` and ``load_threshold`` feed the recruitment
     predicate (non-dedicated scenario only; None keeps the scenario

@@ -203,8 +203,8 @@ def _ablation_pregrant(size: int = 8192, n: int = 50,
 
 @experiment("cache")
 def _cache(policy: str = "none", migration: bool = False,
-           adaptive: bool = False, workload: str = "nondedicated",
-           seed: int = 9, num_iter: int = 6) -> dict:
+           workload: str = "nondedicated", seed: int = 9,
+           num_iter: int = 6) -> dict:
     """One elastic-caching ablation cell (docs/CACHING.md).
 
     ``run_cache`` already returns flat JSON-safe counters, so the
@@ -213,8 +213,8 @@ def _cache(policy: str = "none", migration: bool = False,
     """
     from repro.exp.cache import run_cache
     return run_cache(policy=policy, migration=bool(migration),
-                     adaptive=bool(adaptive), workload=workload,
-                     seed=int(seed), num_iter=int(num_iter))
+                     workload=workload, seed=int(seed),
+                     num_iter=int(num_iter))
 
 
 # -- scale-out ----------------------------------------------------------------

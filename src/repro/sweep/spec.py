@@ -262,8 +262,6 @@ BUILTIN_SPECS: dict[str, dict] = {
                            "workload": "nondedicated"}, "seed": 9},
             {"overrides": {"policy": "lru", "migration": True,
                            "workload": "nondedicated"}, "seed": 9},
-            {"overrides": {"policy": "lru", "adaptive": True,
-                           "workload": "nondedicated"}, "seed": 9},
         ],
     },
 }

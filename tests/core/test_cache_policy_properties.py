@@ -1,21 +1,23 @@
-"""Property tests: donor-side cache policies under randomized streams.
+"""Property tests: the replacement policies under randomized streams.
 
-Hypothesis drives each :mod:`repro.core.policy` eviction policy through
+Hypothesis drives every :mod:`repro.core.policy` policy through
 arbitrary insert/access/remove/evict interleavings and checks the
-invariants the imd relies on:
+invariants the imd and the local region cache rely on:
 
 * a victim is always a currently-held, never-pinned key (in-flight
-  migration sources stay put no matter the policy);
-* LRU evicts exactly what an ``OrderedDict`` recency model predicts;
+  migration sources stay put no matter the policy), and None only when
+  no key is eligible; first-in's victim is always None;
+* LRU and MRU evict exactly what an ``OrderedDict`` recency model
+  predicts, pinned keys skipped;
 * CLOCK honours second chance — while any eligible region's reference
   bit is clear, a referenced region is never the victim;
-* :class:`ShadowCache` never exceeds its byte capacity and its books
-  (``used`` vs held sizes) always balance, for every policy;
-* :class:`PolicySelector` only recommends a switch when the regret
-  bound is met, and the recommendation is the window's best shadow.
+* ``heat()`` counts the accesses since a key's last insert, for every
+  policy (the manager migrates hottest first by it);
+* :class:`~repro.core.config.CacheConfig` and ``RegionCache.csetPolicy``
+  accept every name of the one registry.
 
-Distinct from test_policy_properties.py, which models the *client-side*
-regionlib replacement policies of Figure 5.
+test_policy_properties.py models the same LRU/MRU/first-in policies
+as the local cache drives them (no pinned set).
 """
 
 from collections import OrderedDict
@@ -24,12 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policy import (CACHE_POLICIES, PolicySelector, ShadowCache,
-                               make_cache_policy)
+from repro.core.config import CacheConfig
+from repro.core.policy import POLICIES, make_policy
 
 REGION = 64 * 1024  # one logical region; sizes vary around it below
 
-POLICY_NAMES = sorted(CACHE_POLICIES)
+POLICY_NAMES = sorted(POLICIES)
 
 
 @st.composite
@@ -64,7 +66,7 @@ def drive(policy, ops, on_evict=None):
             pinned = {k for k in live if k % 3 == key % 3}
             victim = policy.victim(pinned)
             eligible = set(live) - pinned
-            if eligible:
+            if eligible and policy.name != "first-in":
                 assert victim in eligible, \
                     f"victim {victim} not a live unpinned key {eligible}"
             else:
@@ -83,27 +85,19 @@ def drive(policy, ops, on_evict=None):
 def test_victim_is_live_and_never_pinned(name, ops):
     """Every policy: victims are held keys, pinned keys are immune,
     and the size books track the live set exactly."""
-    policy = make_cache_policy(name)
+    policy = make_policy(name)
     live = drive(policy, ops)
     assert sorted(policy.keys()) == sorted(live)
     for key, size in live.items():
         assert policy.size_of(key) == size
 
 
-@given(ops=policy_ops())
-@settings(max_examples=60, deadline=None)
-def test_lru_matches_recency_model(ops):
-    """LRU's victim is the recency model's least-recent eligible key."""
-    policy = make_cache_policy("lru")
+def check_recency_model(name, ops, pick):
+    """Drive a recency policy beside an ``OrderedDict`` model; ``pick``
+    orders the model (oldest first for LRU, newest first for MRU) and
+    the victim must be its first eligible key."""
+    policy = make_policy(name)
     model: OrderedDict[int, None] = OrderedDict()
-
-    def check(victim, pinned):
-        expected = next((k for k in model if k not in pinned), None)
-        assert victim == expected
-        if victim is not None:
-            model.pop(victim)
-            policy.on_remove(victim)
-
     for kind, key, size in ops:
         if kind == "insert":
             if key not in model:
@@ -118,8 +112,27 @@ def test_lru_matches_recency_model(ops):
             model.pop(key, None)
         else:
             pinned = {k for k in model if k % 3 == key % 3}
-            check(policy.victim(pinned), pinned)
+            victim = policy.victim(pinned)
+            assert victim == next(
+                (k for k in pick(model) if k not in pinned), None)
+            if victim is not None:
+                model.pop(victim)
+                policy.on_remove(victim)
     assert sorted(policy.keys()) == sorted(model)
+
+
+@given(ops=policy_ops())
+@settings(max_examples=60, deadline=None)
+def test_lru_matches_recency_model(ops):
+    """LRU's victim is the recency model's least-recent eligible key."""
+    check_recency_model("lru", ops, iter)
+
+
+@given(ops=policy_ops())
+@settings(max_examples=60, deadline=None)
+def test_mru_matches_recency_model(ops):
+    """MRU's victim is the recency model's most-recent eligible key."""
+    check_recency_model("mru", ops, reversed)
 
 
 @given(ops=policy_ops())
@@ -127,7 +140,7 @@ def test_lru_matches_recency_model(ops):
 def test_clock_second_chance(ops):
     """CLOCK: while some eligible bit is clear, a referenced region is
     never evicted — an access really does buy one more lap."""
-    policy = make_cache_policy("clock")
+    policy = make_policy("clock")
 
     def check(victim, pinned):
         if victim is not None and any(not bits[k] for k in eligible):
@@ -153,57 +166,48 @@ def test_clock_second_chance(ops):
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
-@given(ops=policy_ops(), capacity=st.sampled_from(
-    [2 * REGION, 5 * REGION, 16 * REGION]))
-@settings(max_examples=40, deadline=None)
-def test_shadow_cache_capacity(name, ops, capacity):
-    """ShadowCache: ``used`` never exceeds capacity and always equals
-    the sum of the held regions' sizes, for every policy."""
-    shadow = ShadowCache(name, capacity)
+@given(ops=policy_ops())
+@settings(max_examples=60, deadline=None)
+def test_heat_counts_accesses_since_insert(name, ops):
+    """Every policy: ``heat()`` is the number of accesses since the
+    key's last insert (re-inserting a held key resets it), and 0 for a
+    key not held."""
+    policy = make_policy(name)
+    ref: dict[int, int] = {}
     for kind, key, size in ops:
-        if kind == "remove":
-            shadow.remove(key)
+        if kind == "insert":  # held keys are re-inserted too
+            policy.on_insert(key, size)
+            ref[key] = 0
+        elif kind == "access":
+            policy.on_access(key)
+            if key in ref:
+                ref[key] += 1
+        elif kind == "remove":
+            policy.on_remove(key)
+            ref.pop(key, None)
         else:
-            shadow.access(key, size)
-        assert 0 <= shadow.used <= capacity
-        assert shadow.used == sum(shadow.policy.size_of(k)
-                                  for k in shadow.policy.keys())
-    assert shadow.hits + shadow.misses == sum(
-        1 for kind, _, _ in ops if kind != "remove")
+            victim = policy.victim({k for k in ref if k % 3 == key % 3})
+            if victim is not None:
+                policy.on_remove(victim)
+                ref.pop(victim)
+        for k in range(10):
+            assert policy.heat(k) == ref.get(k, 0)
 
 
-@given(ops=policy_ops(), min_regret=st.integers(1, 12))
-@settings(max_examples=40, deadline=None)
-def test_selector_switches_only_on_regret(ops, min_regret):
-    """PolicySelector: a recommendation appears iff the active policy
-    trails the best shadow by >= min_regret, names the best policy, and
-    resets the window either way."""
-    selector = PolicySelector("lru", POLICY_NAMES, 4 * REGION,
-                              min_regret=min_regret)
-    for i, (kind, key, size) in enumerate(ops):
-        if kind == "remove":
-            selector.remove(key)
-        else:
-            selector.access(key, size)
-        if i % 7 == 6:  # an adaptation point
-            hits = selector.window_hits()
-            regret = selector.regret()
-            assert regret == max(hits.values()) - hits[selector.active]
-            choice = selector.recommend()
-            if regret >= min_regret:
-                assert choice is not None
-                assert hits[choice] == max(hits.values())
-                assert selector.active == choice
-            else:
-                assert choice is None
-            assert all(s.hits == 0 and s.misses == 0
-                       for s in selector.shadows.values())
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_every_policy_accepted_by_config_and_csetpolicy(name, platform):
+    """One registry: a donor ``CacheConfig`` and the local cache's
+    ``csetPolicy`` both accept every registered name."""
+    assert CacheConfig(policy=name).policy == name
+    cache = platform.region_cache(policy="lru")
+    assert cache.csetPolicy(name) == 0
+    assert cache.policy.name == name
 
 
 def test_cost_aware_keeps_pinned_under_pressure():
     """The in-flight migration source is pinned: repeated evictions
     drain everything else but never touch it."""
-    policy = make_cache_policy("cost-aware")
+    policy = make_policy("cost-aware")
     for key in range(6):
         policy.on_insert(key, REGION)
     policy.on_access(3)  # hot, but pinned matters more

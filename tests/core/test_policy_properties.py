@@ -1,11 +1,15 @@
-"""Property tests: replacement policies vs reference models."""
+"""Property tests: the local cache's replacement policies vs reference
+models (cread and cwrite both feed ``on_access``)."""
 
 from collections import OrderedDict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policies import FirstInPolicy, LruPolicy, MruPolicy
+from repro.core.policy import (FirstInPolicy, LruCachePolicy,
+                               MruCachePolicy)
+
+REGION = 8192
 
 
 @st.composite
@@ -24,19 +28,16 @@ def drive(policy, model_update, model_victim, ops):
     model: OrderedDict[int, None] = OrderedDict()
     for kind, crd in ops:
         if kind == "insert":
-            policy.on_insert(crd)
+            policy.on_insert(crd, REGION)
             model_update(model, "insert", crd)
-        elif kind == "read":
-            policy.on_read(crd)
-            model_update(model, "touch", crd)
-        elif kind == "write":
-            policy.on_write(crd)
+        elif kind in ("read", "write"):
+            policy.on_access(crd)
             model_update(model, "touch", crd)
         elif kind == "remove":
             policy.on_remove(crd)
             model.pop(crd, None)
         else:  # evict: ask for a victim and compare with the model's
-            got = policy.select_victim({})
+            got = policy.victim()
             assert got == model_victim(model)
             if got is not None:
                 policy.on_remove(got)
@@ -56,7 +57,7 @@ def test_lru_matches_recency_model(ops):
     def victim(model):
         return next(iter(model), None)
 
-    drive(LruPolicy(), update, victim, ops)
+    drive(LruCachePolicy(), update, victim, ops)
 
 
 @given(policy_ops())
@@ -72,7 +73,7 @@ def test_mru_matches_recency_model(ops):
     def victim(model):
         return next(reversed(model), None)
 
-    drive(MruPolicy(), update, victim, ops)
+    drive(MruCachePolicy(), update, victim, ops)
 
 
 @given(policy_ops())
@@ -82,15 +83,13 @@ def test_first_in_never_selects_and_keeps_order(ops):
     inserted: OrderedDict[int, None] = OrderedDict()
     for kind, crd in ops:
         if kind == "insert":
-            policy.on_insert(crd)
+            policy.on_insert(crd, REGION)
             inserted.setdefault(crd, None)  # first insertion order sticks
-        elif kind == "read":
-            policy.on_read(crd)
-        elif kind == "write":
-            policy.on_write(crd)
+        elif kind in ("read", "write"):
+            policy.on_access(crd)
         elif kind == "remove":
             policy.on_remove(crd)
             inserted.pop(crd, None)
         else:
-            assert policy.select_victim({}) is None
-        assert list(policy._order) == list(inserted)
+            assert policy.victim() is None
+        assert list(policy.keys()) == list(inserted)

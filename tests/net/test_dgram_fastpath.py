@@ -97,7 +97,7 @@ def run_dgrams(fastpath, sizes, transport="udp", loss=0.0, seed=1234,
     out["rx_stats"] = dict(rx.stats.counters)
     out["fast"] = net.network.stats.count("fastpath.dgrams")
     out["fallbacks"] = net.network.stats.count("fastpath.dgram_fallbacks")
-    out["inflight"] = dict(net.network._dgram_inflight)
+    out["inflight"] = dict(net.network._inflight)
     return out
 
 

@@ -22,12 +22,6 @@ def test_unknown_cache_policy_rejected_at_construction():
         CacheConfig(policy="bogus")
 
 
-def test_unknown_shadow_policy_rejected_at_construction():
-    with pytest.raises(ValueError,
-                       match="unknown shadow cache policy 'fifo'"):
-        CacheConfig(policy="lru", shadow_policies=("lru", "fifo"))
-
-
 def test_unknown_placement_rejected_at_construction():
     with pytest.raises(ValueError, match="unknown placement 'bogus'"):
         DodoConfig(placement="bogus")
@@ -35,8 +29,9 @@ def test_unknown_placement_rejected_at_construction():
 
 def test_error_messages_list_accepted_values():
     with pytest.raises(ValueError) as exc:
-        CacheConfig(policy="mru")
-    for name in ("none", "lru", "lfu", "clock", "cost-aware"):
+        CacheConfig(policy="fifo")
+    for name in ("none", "lru", "mru", "first-in", "lfu", "clock",
+                 "cost-aware"):
         assert name in str(exc.value)
     with pytest.raises(ValueError) as exc:
         DodoConfig(placement="first-fit")
@@ -49,7 +44,6 @@ def test_default_cache_block_is_inert():
     assert cfg.cache.policy == "none"
     assert not cfg.cache.enabled
     assert not cfg.cache.migration
-    assert not cfg.cache.adaptive
 
 
 # -- CLI surface --------------------------------------------------------------
@@ -84,9 +78,9 @@ def test_cache_command_runs_and_writes_json(tmp_path, capsys):
     assert "Elastic-caching ablation" in text
     assert "claim (migration saves refetches" in text
     doc = json.loads(out.read_text())
-    variants = {(r["workload"], r["policy"], r["migration"], r["adaptive"])
+    variants = {(r["workload"], r["policy"], r["migration"])
                 for r in doc["rows"]}
-    # the requested grid cell plus the always-run claim/adaptive rows
-    assert ("fig7", "lru", False, False) in variants
-    assert ("nondedicated", "cost-aware", True, False) in variants
+    # the requested grid cell plus the always-run claim rows
+    assert ("fig7", "lru", False) in variants
+    assert ("nondedicated", "cost-aware", True) in variants
     assert doc["claim"]["disk_reads_migration"] >= 0

@@ -71,8 +71,8 @@ CACHE_ROW_INTS = ["requests"]
 #: present and integer-typed, but legitimately zero in a healthy run
 CACHE_ROW_COUNTS = ["seed", "local_hits", "remote_hits", "disk_reads",
                     "remote_lost", "migrated_hits", "evictions",
-                    "evicted_bytes", "entries_evicted", "switches",
-                    "reclaims", "recruits"]
+                    "evicted_bytes", "entries_evicted", "reclaims",
+                    "recruits"]
 CACHE_MIGRATIONS = ["attempted", "ok", "failed", "bytes"]
 CACHE_CLAIM_COUNTS = ["seed", "disk_reads_evict_only",
                       "disk_reads_migration", "migrated_hits",
@@ -221,10 +221,9 @@ def check_cache(doc: dict, where: str) -> list:
             continue
         for key in ("workload", "policy"):
             _require(problems, at, row, key, "str")
-        for key in ("migration", "adaptive"):
-            if not isinstance(row.get(key), bool):
-                problems.append(f"{at}: {key!r} must be a boolean, "
-                                f"got {row.get(key)!r}")
+        if not isinstance(row.get("migration"), bool):
+            problems.append(f"{at}: 'migration' must be a boolean, "
+                            f"got {row.get('migration')!r}")
         _require(problems, at, row, "elapsed_s", "number")
         for key in CACHE_ROW_INTS:
             _require(problems, at, row, key, "int")
