@@ -41,30 +41,3 @@ def test_experiments_doc_mentions_sweep_commands():
     text = open(os.path.join(ROOT, "EXPERIMENTS.md")).read()
     assert "repro sweep" in text
 
-
-def test_bench_baselines_pass_schema_check():
-    """The checked-in BENCH files must carry every field the gates read."""
-    mod = _load("check_bench_schema")
-    problems = []
-    for path in mod.DEFAULTS:
-        problems.extend(mod.check_file(path))
-    assert problems == [], "\n".join(problems)
-
-
-def test_bench_schema_check_catches_corruption():
-    import json
-
-    mod = _load("check_bench_schema")
-    prims = json.load(open(os.path.join(
-        ROOT, "benchmarks", "BENCH_primitives.json")))
-    del prims["events_per_sec"]
-    assert any("events_per_sec" in p
-               for p in mod.check_primitives(prims, "prims"))
-
-    scaling = json.load(open(os.path.join(
-        ROOT, "benchmarks", "BENCH_scaling.json")))
-    scaling["points"][0]["wall_s"] = -1.0
-    scaling["points"].reverse()
-    problems = mod.check_scaling(scaling, "scaling")
-    assert any("wall_s" in p for p in problems)
-    assert any("increasing" in p for p in problems)
