@@ -27,6 +27,7 @@ from typing import Optional
 
 from repro.core.config import CMD_PORT, PLACEMENTS, DodoConfig
 from repro.core.descriptors import RegionKey, RegionStruct
+from repro.core.policy import POLICIES
 from repro.core.shard import ShardMap
 from repro.cluster.workstation import Workstation
 from repro.metrics.recorder import Recorder
@@ -192,6 +193,10 @@ class CentralManager:
             raise ValueError(f"unknown placement {config.placement!r}, "
                              f"expected one of {sorted(PLACEMENTS)}")
         self._rr = 0  # round-robin cursor (placement="round-robin")
+        #: donors evict under the configured policy, so a donor whose
+        #: free-space hint says "full" can still make room
+        self._donors_evict = (config.cache.enabled
+                              and POLICIES[config.cache.policy].evicts)
         self.endpoint = ws.endpoint(config.transport)
         self.port = port
         self._sock = self.endpoint.socket(port=port)
@@ -749,10 +754,10 @@ class CentralManager:
             return False
         candidates = [h for h in self.iwd.fitting(size)
                       if h != src_iwd.host]
-        if not candidates:
+        if not candidates and self._donors_evict:
             # every other donor looks full, but donors evict: offer the
             # hot region anyway and let the destination displace colder
-            # ones (migration implies an active policy)
+            # ones
             candidates = [h for h in self.iwd if h != src_iwd.host]
         while candidates:
             pick = self._pick_candidate(candidates)
@@ -915,11 +920,10 @@ class CentralManager:
             self._rd_del(key)  # stale or too small: replace
 
         candidates = self.iwd.fitting(length)
-        if not candidates and self.config.cache.enabled:
-            # donors run an eviction policy: a host whose free-space
-            # hint says "full" can still make room, so consult them all
-            # and let each imd answer ENOMEM only when eviction can't
-            # open a large-enough hole
+        if not candidates and self._donors_evict:
+            # a host whose free-space hint says "full" can still make
+            # room, so consult them all and let each imd answer ENOMEM
+            # only when eviction can't open a large-enough hole
             candidates = list(self.iwd)
         while candidates:
             pick = self._pick_candidate(candidates)

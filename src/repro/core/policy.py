@@ -24,8 +24,8 @@ Six policies ship:
   them*; motivated by Uysal et al.'s finding that data-intensive
   applications overwhelmingly do sequential/triangle scans, where LRU
   flushes the whole cache every pass and first-in keeps a stable prefix.
-  Its victim is always None: newcomers bypass the client cache, and a
-  full donor pool rejects the allocation;
+  Its victim is always None (``evicts`` is False): newcomers bypass the
+  client cache, and the manager offers a full donor no allocation;
 * ``lfu`` — evict the region with the fewest accesses;
 * ``clock`` — second-chance reference bits, LRU-like at O(1) per access;
 * ``cost-aware`` — GreedyDual-Size-Frequency: refetch-cost-weighted, so
@@ -64,6 +64,10 @@ class CachePolicy:
     """
 
     name = "?"
+    #: False when :meth:`victim` is always None: a full cache under this
+    #: policy can never make room, so the manager offers a full donor
+    #: no allocation
+    evicts = True
 
     def __init__(self) -> None:
         self._sizes: dict[int, int] = {}
@@ -152,6 +156,7 @@ class FirstInPolicy(CachePolicy):
     """Cache in first-access order; once cached, never replaced."""
 
     name = "first-in"
+    evicts = False
 
     def victim(self, pinned: Optional[set] = None) -> Optional[int]:
         return None  # refuse: newcomers bypass the cache instead

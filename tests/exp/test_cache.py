@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.exp import cache as cache_exp
 from repro.exp.cache import (ABLATION_POLICIES, CACHE_WORKLOADS,
                              run_cache)
 
@@ -45,3 +46,30 @@ def test_policy_none_never_evicts():
     r = run_cache(policy="none", workload="fig7", num_iter=1)
     assert r["evictions"] == 0
     assert r["migrations"]["attempted"] == 0
+
+
+def _fig7_cell_with_manager(monkeypatch, policy):
+    """One fig7 cell, plus the manager counters of the testbed it built."""
+    seen = {}
+    collect = cache_exp._collect
+
+    def spy(cache_cfg, workload, seed, res, runner, testbed):
+        seen["manager"] = testbed.cmd.stats
+        return collect(cache_cfg, workload, seed, res, runner, testbed)
+
+    monkeypatch.setattr(cache_exp, "_collect", spy)
+    row = run_cache(policy=policy, workload="fig7", seed=9, num_iter=2)
+    return row, seen["manager"]
+
+
+def test_first_in_donors_are_offered_only_what_fits(monkeypatch):
+    """First-in never evicts, so a donor whose hint says full can never
+    make room: the manager must not offer it the allocation anyway."""
+    plain, plain_mgr = _fig7_cell_with_manager(monkeypatch, "none")
+    first_in, first_in_mgr = _fig7_cell_with_manager(monkeypatch,
+                                                     "first-in")
+    assert first_in_mgr.count("alloc.host_full") == 0
+    assert (first_in_mgr.count("alloc.placed")
+            == plain_mgr.count("alloc.placed"))
+    for key in ("local_hits", "remote_hits", "disk_reads"):
+        assert first_in[key] == plain[key], key
