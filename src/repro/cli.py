@@ -12,7 +12,7 @@ Examples::
     python -m repro slo fig7 --out fig7-slo.json
     python -m repro fig7 --telemetry-out fig7.csv --events-out fig7.jsonl \\
         --audit raise
-    python -m repro serve-bench --shards 1 2 4 8 --out BENCH_serving.json
+    python -m repro serve-bench --shards 1 2 4 8 --out serving.json
     python -m repro chaos fig7 --seed 3 --plan-out plan.json
     python -m repro chaos fig7 --plan-in plan.json --events-out chaos.jsonl
     python -m repro sweep ci-grid --jobs 4 --cache-dir .sweep-cache
@@ -68,6 +68,17 @@ def _scale(text: str) -> float:
     return float(Fraction(text))
 
 
+def _write_out(path: str, doc, what: str) -> None:
+    """Write a subcommand's ``--out`` document: canonical JSON (sorted
+    keys, no whitespace) and a newline, replaced atomically so a reader
+    never sees half a file."""
+    from repro.obs.files import atomic_write
+    from repro.sweep.spec import canonical_text
+    with atomic_write(path) as fp:
+        fp.write(canonical_text(doc) + "\n")
+    print(f"wrote {what} to {path}", file=sys.stderr)
+
+
 class CliError(Exception):
     """A user-facing CLI failure: printed as one line, exit code 2.
 
@@ -120,17 +131,13 @@ def cmd_fig8(args) -> None:
 
 def cmd_scale(args) -> None:
     """Thousand-host scale-out series: simulator throughput table."""
-    import json
-
     from repro.exp import scale as sc
     hosts = tuple(args.hosts)
     results = sc.run_scaling(hosts, jobs=getattr(args, "jobs", 1),
                              num_iter=args.iters, owners=not args.no_owners)
     print(sc.format_scale(results))
     if args.out:
-        with open(args.out, "w") as f:
-            json.dump(results, f, indent=1, sort_keys=True)
-        print(f"wrote {args.out}")
+        _write_out(args.out, results, "scaling series")
 
 
 def cmd_nondedicated(args) -> None:
@@ -155,10 +162,7 @@ def cmd_cache(args) -> None:
         raise CliError(str(exc)) from exc
     print(format_cache(results))
     if args.out:
-        from repro.sweep.spec import canonical_text
-        with open(args.out, "w") as fp:
-            fp.write(canonical_text(results) + "\n")
-        print(f"wrote ablation results to {args.out}", file=sys.stderr)
+        _write_out(args.out, results, "ablation results")
 
 
 def cmd_ablations(args) -> None:
@@ -200,8 +204,6 @@ def cmd_chaos(args) -> None:
 
 def cmd_serve_bench(args) -> None:
     """Serve-bench: shard-count scaling of the Zipfian serving tier."""
-    import json
-
     from repro.exp import serving as sv
     results = sv.run_serve_bench(
         tuple(args.shards), jobs=getattr(args, "jobs", 1),
@@ -210,9 +212,7 @@ def cmd_serve_bench(args) -> None:
         n_keys=args.keys)
     print(sv.format_serving(results))
     if args.out:
-        with open(args.out, "w") as f:
-            json.dump(results, f, indent=1, sort_keys=True)
-        print(f"wrote {args.out}")
+        _write_out(args.out, results, "serving series")
 
 
 def cmd_all(args) -> None:
@@ -295,12 +295,7 @@ def cmd_whatif(args) -> None:
         raise CliError(str(exc)) from exc
     print(format_whatif(doc))
     if args.out:
-        from repro.obs.files import atomic_write
-        from repro.sweep.spec import canonical_text
-        with atomic_write(args.out) as fp:
-            fp.write(canonical_text(doc))
-            fp.write("\n")
-        print(f"wrote what-if document to {args.out}", file=sys.stderr)
+        _write_out(args.out, doc, "what-if document")
 
 
 def cmd_serve(args) -> None:
@@ -713,12 +708,7 @@ def _finish_slo(args, sli, engine) -> None:
     print()
     print(format_slo_report(doc))
     if getattr(args, "out", None):
-        from repro.obs.files import atomic_write
-        from repro.sweep.spec import canonical_text
-        with atomic_write(args.out) as fp:
-            fp.write(canonical_text(doc))
-            fp.write("\n")
-        print(f"wrote SLO report to {args.out}", file=sys.stderr)
+        _write_out(args.out, doc, "SLO report")
 
 
 def main(argv=None) -> int:

@@ -47,6 +47,20 @@ def test_table1_command_runs(capsys):
     assert "Table 1" in capsys.readouterr().out
 
 
+def test_out_documents_are_canonical_json(tmp_path, capsys):
+    """Every ``--out`` document is canonical JSON and a newline."""
+    import json
+
+    from repro.sweep.spec import canonical_text
+
+    out = tmp_path / "serve.json"
+    assert main(["serve-bench", "--shards", "1", "--duration", "1",
+                 "--keys", "16", "--rate", "50", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == canonical_text(json.loads(text)) + "\n"
+    assert f"wrote serving series to {out}" in capsys.readouterr().err
+
+
 # -- observability options ----------------------------------------------------
 
 def test_parser_accepts_observability_flags():
