@@ -99,19 +99,19 @@ def test_bench_simulator_event_rate(benchmark):
     assert events >= 200_000
 
 
-def test_bench_perf_smoke_artifact(once, tmp_path):
-    """The perf-smoke harness: fast path >= 5x on a large lossless
-    transfer, simulated time untouched, and the JSON artifact emitted."""
+def test_bench_primitives_artifact(once, tmp_path):
+    """The primitives gate: fast path >= 5x on a large lossless
+    transfer (the gate's floor), simulated time untouched, and the JSON
+    artifact emitted."""
     import json
-    import perf_smoke
+
+    import gate
 
     out = tmp_path / "BENCH_primitives.json"
-    rc = once(perf_smoke.main, ["--out", str(out)])
+    rc = once(gate.main, ["primitives", "--out", str(out)])
     assert rc == 0
     metrics = json.loads(out.read_text())
     print(f"\nfast path: {metrics['bulk_fast_speedup_x']:.0f}x over the "
           f"packet path ({metrics['bulk_mb_per_wall_s']:,.0f} MB per wall "
           f"second, {metrics['bulk_fast_events']} events)")
-    assert metrics["bulk_fast_speedup_x"] >= perf_smoke.MIN_SPEEDUP
     assert metrics["bulk_fast_events"] < 100  # O(1), not O(chunks)
-    assert metrics["events_per_sec"] > 50_000

@@ -11,7 +11,7 @@ at the manager inflates p99/p999 and the admission controller starts
 rejecting — while more shards divide the per-request lookup traffic by
 the hash ring and the tail collapses back to the imd round-trip.  The
 series is recorded in ``benchmarks/BENCH_serving.json`` and gated by
-``benchmarks/test_bench_serving.py``.
+``benchmarks/gate.py serving``.
 
 Everything reported is virtual-time-only and byte-identical for a given
 seed; ``jobs > 1`` fans points across worker processes via the sweep
