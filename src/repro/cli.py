@@ -58,9 +58,17 @@ delta.  See docs/OBSERVABILITY.md.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
+
+from repro.core.manager import PLACEMENTS
+from repro.core.policy import POLICIES
+from repro.faults.chaos import EXPERIMENTS as CHAOS_EXPERIMENTS
+from repro.obs.fleet.whatif import SCENARIOS
+from repro.sweep.spec import BUILTIN_SPECS
 
 
 def _scale(text: str) -> float:
@@ -87,6 +95,17 @@ class CliError(Exception):
     is the invoker's mistake rather than a bug, and therefore must not
     produce a traceback.
     """
+
+
+def cmd_list(args) -> None:
+    """Print the subcommands of :data:`COMMANDS` and the builtin sweep
+    specs."""
+    print("available experiments:")
+    for name, command in COMMANDS.items():
+        print(f"  {name:14s} {command.help}")
+    print("builtin sweep specs (repro sweep <name>):")
+    for name in sorted(BUILTIN_SPECS):
+        print(f"  {name}")
 
 
 def cmd_fig1(args) -> None:
@@ -126,15 +145,15 @@ def cmd_fig8(args) -> None:
     from repro.exp import fig8
     print(fig8.format_fig8(fig8.run_fig8(scale=args.scale,
                                          num_iter=args.iters,
-                                         jobs=getattr(args, "jobs", 1))))
+                                         jobs=args.jobs)))
 
 
 def cmd_scale(args) -> None:
     """Thousand-host scale-out series: simulator throughput table."""
     from repro.exp import scale as sc
     hosts = tuple(args.hosts)
-    results = sc.run_scaling(hosts, jobs=getattr(args, "jobs", 1),
-                             num_iter=args.iters, owners=not args.no_owners)
+    results = sc.run_scaling(hosts, jobs=args.jobs, num_iter=args.iters,
+                             owners=not args.no_owners)
     print(sc.format_scale(results))
     if args.out:
         _write_out(args.out, results, "scaling series")
@@ -151,15 +170,9 @@ def cmd_cache(args) -> None:
     """Elastic-caching ablation: eviction policies × workloads, plus
     the migration variant (docs/CACHING.md)."""
     from repro.exp.cache import format_cache, run_cache_ablation
-    try:
-        results = run_cache_ablation(
-            seed=args.seed, num_iter=args.iters,
-            policies=tuple(args.policies),
-            workloads=tuple(args.workloads))
-    except ValueError as exc:
-        # unknown policy / workload names land here from config
-        # validation: one repro: line and exit 2, not a traceback
-        raise CliError(str(exc)) from exc
+    results = run_cache_ablation(
+        seed=args.seed, num_iter=args.iters,
+        policies=tuple(args.policies), workloads=tuple(args.workloads))
     print(format_cache(results))
     if args.out:
         _write_out(args.out, results, "ablation results")
@@ -206,7 +219,7 @@ def cmd_serve_bench(args) -> None:
     """Serve-bench: shard-count scaling of the Zipfian serving tier."""
     from repro.exp import serving as sv
     results = sv.run_serve_bench(
-        tuple(args.shards), jobs=getattr(args, "jobs", 1),
+        tuple(args.shards), jobs=args.jobs,
         seed=args.seed, replication=not args.no_replication,
         arrival_rate=args.rate, duration_s=args.duration,
         n_keys=args.keys)
@@ -216,9 +229,15 @@ def cmd_serve_bench(args) -> None:
 
 
 def cmd_all(args) -> None:
-    """Everything: shell out to examples/reproduce_paper.py."""
+    """Everything: shell out to the checkout's
+    examples/reproduce_paper.py, wherever the CLI is run from."""
     import subprocess
-    cmd = [sys.executable, "examples/reproduce_paper.py"]
+    script = os.path.abspath(os.path.join(
+        __file__, "..", "..", "..", "examples", "reproduce_paper.py"))
+    if not os.path.isfile(script):
+        raise CliError(f"'repro all' runs {script}, which does not "
+                       "exist: run it from a source checkout")
+    cmd = [sys.executable, script]
     if args.quick:
         cmd.append("--quick")
     raise SystemExit(subprocess.call(cmd))
@@ -226,12 +245,8 @@ def cmd_all(args) -> None:
 
 def cmd_sweep(args) -> int:
     """Parallel cached sweep over a grid of experiment points."""
-    from repro.sweep import (EXPERIMENTS, SpecError, load_spec,
-                             run_sweep)
-    try:
-        spec = load_spec(args.spec)
-    except SpecError as exc:
-        raise CliError(str(exc)) from exc
+    from repro.sweep import EXPERIMENTS, load_spec, run_sweep
+    spec = load_spec(args.spec)
     unknown = sorted({p.experiment for p in spec.points}
                      - set(EXPERIMENTS))
     if unknown:
@@ -253,27 +268,16 @@ def cmd_sweep(args) -> int:
     return 0 if result.ok else 1
 
 
-def _policy_from_args(args):
-    """A WhatIfPolicy from --replacement/--placement/... (None = keep)."""
-    from repro.obs.fleet.whatif import WhatIfPolicy
-    return WhatIfPolicy(
-        replacement=args.replacement or "lru",
-        placement=args.placement or "random",
-        idle_window_s=args.idle_window,
-        load_threshold=args.load_threshold)
-
-
 def cmd_record(args) -> None:
     """Record one scenario run as a run directory for serve/whatif."""
-    from repro.obs.fleet.whatif import record_run
-    try:
-        meta = record_run(args.out, args.scenario, seed=args.seed,
-                          policy=_policy_from_args(args),
-                          chaos=args.chaos, horizon_s=args.horizon,
-                          interval_s=args.interval,
-                          audit=args.record_audit)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    from repro.obs.fleet.whatif import WhatIfPolicy, record_run
+    policy = WhatIfPolicy().override(
+        replacement=args.replacement, placement=args.placement,
+        idle_window_s=args.idle_window, load_threshold=args.load_threshold)
+    meta = record_run(args.out, args.scenario, seed=args.seed,
+                      policy=policy, chaos=args.chaos,
+                      horizon_s=args.horizon, interval_s=args.interval,
+                      audit=args.record_audit)
     m = meta["metrics"]
     print(f"recorded {meta['scenario']} seed={meta['seed']}"
           + (" chaos" if meta.get("chaos") else "") + f" -> {args.out}")
@@ -284,15 +288,11 @@ def cmd_record(args) -> None:
 
 def cmd_whatif(args) -> None:
     """Replay a recorded run under a changed policy; print the delta."""
-    from repro.obs.fleet.store import RunDirError
     from repro.obs.fleet.whatif import format_whatif, run_whatif
-    try:
-        doc = run_whatif(args.run_dir, replacement=args.replacement,
-                         placement=args.placement,
-                         idle_window_s=args.idle_window,
-                         load_threshold=args.load_threshold)
-    except (RunDirError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    doc = run_whatif(args.run_dir, replacement=args.replacement,
+                     placement=args.placement,
+                     idle_window_s=args.idle_window,
+                     load_threshold=args.load_threshold)
     print(format_whatif(doc))
     if args.out:
         _write_out(args.out, doc, "what-if document")
@@ -300,19 +300,13 @@ def cmd_whatif(args) -> None:
 
 def cmd_serve(args) -> None:
     """Serve the fleet dashboard over a run directory or a live run."""
-    import os
     import threading
     from repro.obs.fleet.server import serve_live, serve_run_dir
-    from repro.obs.fleet.store import RunDirError
     if os.path.isdir(args.target):
-        try:
-            server = serve_run_dir(args.target, host=args.host,
-                                   port=args.port)
-        except RunDirError as exc:
-            raise CliError(str(exc)) from exc
+        server = serve_run_dir(args.target, host=args.host, port=args.port)
     else:
         from repro.obs.eventlog import EventLog
-        from repro.obs.fleet.whatif import SCENARIOS, run_scenario
+        from repro.obs.fleet.whatif import run_scenario
         from repro.obs.timeseries import Telemetry
         if args.target not in SCENARIOS:
             raise CliError(
@@ -340,375 +334,381 @@ def cmd_serve(args) -> None:
         server.server_close()
 
 
-def cmd_trace(args) -> None:
-    """Run one experiment with tracing forced on; delegate to its cmd_*."""
-    args.trace_out = args.out
-    COMMANDS[args.experiment][1](args)
+def cmd_observe(args) -> None:
+    """``repro trace|top|slo <experiment>``: run an observable
+    subcommand at its own defaults with that view forced on."""
+    command = COMMANDS[args.experiment]
+    defaults = _defaults(OBS_ARGS + command.args)
+    _observe(argparse.Namespace(**{**defaults, **vars(args)}),
+             command.handler)
 
 
-def cmd_top(args) -> None:
-    """Run one experiment with telemetry forced on; delegate to its
-    cmd_*.  The dashboard itself renders in :func:`main` afterwards."""
-    COMMANDS[args.experiment][1](args)
+def _observe(args, run: Callable) -> None:
+    """Run an observable subcommand inside one observability session,
+    then write what its flags ask for.  ``args.command`` names the view:
+    ``trace`` writes the trace to ``--out``, ``top`` renders the
+    dashboard and ``slo`` the SLO report."""
+    from repro.obs import (ObsSession, fetch_breakdown, format_fetch_breakdown,
+                           render_dashboard, write_chrome_trace,
+                           write_snapshot)
+    view = args.command
+    trace_out = args.out if view == "trace" else args.trace_out
+    sampled = bool(view in ("top", "slo") or args.telemetry_out
+                   or args.telemetry_json or args.events_out
+                   or args.audit_mode != "off")
+    slo = {"slo": True, "alpha": args.alpha} if view == "slo" else {}
+    with ObsSession(trace=bool(trace_out or args.metrics_out),
+                    kernel_events=args.kernel_events,
+                    interval_s=args.telemetry_interval if sampled else None,
+                    events=args.events_level if sampled else None,
+                    audit=args.audit_mode, sample_audit=True,
+                    collect=bool(args.metrics_out), **slo) as obs:
+        run(args)
+
+    if trace_out:
+        n = write_chrome_trace(obs.tracer, trace_out, sli=obs.sli)
+        print(f"\nwrote {n} trace events to {trace_out}", file=sys.stderr)
+        breakdown = fetch_breakdown(obs.tracer.spans)
+        if breakdown["count"]:
+            print()
+            print(format_fetch_breakdown(breakdown))
+    if args.metrics_out:
+        n = write_snapshot(args.metrics_out, meta={"command": view})
+        print(f"wrote {n} recorder snapshots to {args.metrics_out}",
+              file=sys.stderr)
+    if args.telemetry_out:
+        n = obs.telemetry.write_csv(args.telemetry_out)
+        print(f"wrote {n} time-series rows to {args.telemetry_out}",
+              file=sys.stderr)
+    if args.telemetry_json:
+        n = obs.telemetry.write_json(args.telemetry_json,
+                                     meta={"command": view})
+        print(f"wrote {n} time series to {args.telemetry_json}",
+              file=sys.stderr)
+    if args.events_out:
+        n = obs.eventlog.write_jsonl(args.events_out)
+        print(f"wrote {n} events to {args.events_out}", file=sys.stderr)
+    if view == "top":
+        print()
+        print(render_dashboard(obs.telemetry, eventlog=obs.eventlog,
+                               auditor=obs.auditor, title=args.experiment))
+    elif obs.auditor is not None:
+        print(obs.auditor.format_report(), file=sys.stderr)
+    if slo:
+        from repro.obs.slo import build_slo_report, format_slo_report
+        doc = build_slo_report(obs.sli, obs.slo,
+                               meta={"command": args.experiment})
+        print()
+        print(format_slo_report(doc))
+        if args.out:
+            _write_out(args.out, doc, "SLO report")
 
 
-def cmd_slo(args) -> None:
-    """Run one experiment with SLI collection + SLO evaluation forced
-    on; delegate to its cmd_*.  The report renders afterwards."""
-    COMMANDS[args.experiment][1](args)
+# -- the subcommand table -----------------------------------------------------
+
+def _arg(*flags: str, **kwargs) -> tuple:
+    """One argument spec: what ``add_argument`` takes."""
+    return flags, kwargs
 
 
-COMMANDS: dict[str, tuple[str, Callable]] = {
-    "fig1": ("Figure 1: cluster memory availability", cmd_fig1),
-    "table1": ("Table 1: memory by use per host class", cmd_table1),
-    "fig2": ("Figure 2: per-workstation variation", cmd_fig2),
-    "disk": ("Section 5.1 disk bandwidth table", cmd_disk),
-    "fig7": ("Figure 7: lu and dmine speedups", cmd_fig7),
-    "fig8": ("Figure 8: synthetic benchmark panels", cmd_fig8),
-    "scale": ("thousand-host scale-out throughput series", cmd_scale),
-    "serve-bench": ("sharded-directory serving tier: shard-count sweep",
-                    cmd_serve_bench),
-    "nondedicated": ("Section 5.3.1 desktop-cluster run", cmd_nondedicated),
-    "ablations": ("design-choice ablations", cmd_ablations),
-    "cache": ("elastic-caching ablation: policies and migration",
-              cmd_cache),
-    "chaos": ("nemesis fault-injection run with invariant auditing",
-              cmd_chaos),
-    "sweep": ("parallel cached sweep over a grid of experiment points",
-              cmd_sweep),
-    "record": ("record a scenario run directory for serve/whatif",
-               cmd_record),
-    "serve": ("serve the fleet dashboard over a recorded or live run",
-              cmd_serve),
-    "whatif": ("replay a recorded run under a changed policy",
-               cmd_whatif),
-    "all": ("everything (examples/reproduce_paper.py)", cmd_all),
+def _defaults(specs: tuple) -> dict:
+    """``{dest: default}`` of argument specs, as argparse fills them."""
+    return {kwargs.get("dest", flags[0].lstrip("-").replace("-", "_")):
+            kwargs.get("default") for flags, kwargs in specs}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One ``repro`` subcommand: a row of :data:`COMMANDS` or
+    :data:`SHORTHANDS`."""
+
+    help: str
+    handler: Callable
+    #: :func:`_arg` specs in ``--help`` order
+    args: tuple = ()
+    #: takes :data:`OBS_ARGS`, and ``repro trace|top|slo`` can run it
+    observable: bool = False
+    #: its ValueErrors are the invoker's mistakes (an unknown name, an
+    #: unreadable file, an observed ``--jobs 2``): one ``repro:`` line
+    #: and exit 2, not a traceback
+    usage_errors: bool = False
+
+
+#: sampling, event-log and audit flags: every observable subcommand and
+#: every view takes them
+TELEMETRY_ARGS = (
+    _arg("--telemetry-out", metavar="FILE", default=None,
+         help="write sampled time series as long-format CSV"),
+    _arg("--telemetry-json", metavar="FILE", default=None,
+         help="write sampled time series as JSON"),
+    _arg("--telemetry-interval", type=float, default=1.0,
+         metavar="SECONDS",
+         help="virtual-time sampling period (default: 1.0)"),
+    _arg("--events-out", metavar="FILE", default=None,
+         help="write the structured event log as JSONL"),
+    _arg("--events-level", default="info",
+         choices=("debug", "info", "warn", "error"),
+         help="minimum event severity recorded (default: info)"),
+    _arg("--audit", default="off", choices=("off", "warn", "raise"),
+         dest="audit_mode",
+         help="cross-check cluster invariants at sample points and "
+              "teardown (warn: report; raise: fail the run)"),
+)
+
+#: the observability flags of an observable subcommand
+OBS_ARGS = (
+    _arg("--trace-out", metavar="FILE", default=None,
+         help="write a Chrome trace-event JSON of the run"),
+    _arg("--metrics-out", metavar="FILE", default=None,
+         help="write a JSON snapshot of all recorders"),
+    _arg("--kernel-events", action="store_true", default=False,
+         help="include per-event kernel dispatch instants in the trace "
+              "(verbose)"),
+) + TELEMETRY_ARGS
+
+_DAYS = (_arg("--days", type=float, default=4.0,
+              help="simulated trace length in days"),)
+
+#: the what-if policy knobs shared by ``record`` and ``whatif``.  All
+#: default to None: ``record`` fills in the scenario defaults
+#: (lru/random), ``whatif`` treats None as "keep the recorded value"
+_POLICY_ARGS = (
+    _arg("--replacement", default=None, choices=sorted(POLICIES),
+         help="region-cache replacement policy"),
+    _arg("--placement", default=None, choices=PLACEMENTS,
+         help="manager host-placement policy"),
+    _arg("--idle-window", type=float, default=None, metavar="SECONDS",
+         help="recruitment idle-window (nondedicated only)"),
+    _arg("--load-threshold", type=float, default=None, metavar="FRACTION",
+         help="recruitment load threshold (nondedicated only)"),
+)
+
+COMMANDS: dict[str, Command] = {
+    "fig1": Command("Figure 1: cluster memory availability", cmd_fig1,
+                    _DAYS, observable=True),
+    "table1": Command("Table 1: memory by use per host class", cmd_table1,
+                      _DAYS, observable=True),
+    "fig2": Command("Figure 2: per-workstation variation", cmd_fig2,
+                    _DAYS, observable=True),
+    "disk": Command("Section 5.1 disk bandwidth table", cmd_disk,
+                    observable=True),
+    "fig7": Command("Figure 7: lu and dmine speedups", cmd_fig7, (
+        _arg("--scale-lu", type=_scale, default=1 / 64),
+        _arg("--scale-dmine", type=_scale, default=1 / 16),
+    ), observable=True),
+    "fig8": Command("Figure 8: synthetic benchmark panels", cmd_fig8, (
+        _arg("--scale", type=_scale, default=1 / 64),
+        _arg("--iters", type=int, default=4),
+        _arg("--jobs", type=int, default=1,
+             help="worker processes for the panel grid (default: 1; "
+                  "results are identical at any value)"),
+    ), observable=True, usage_errors=True),
+    "scale": Command("thousand-host scale-out throughput series",
+                     cmd_scale, (
+        _arg("--hosts", type=int, nargs="+", default=[500, 1000, 2000],
+             help="host counts of the series (default: 500 1000 2000)"),
+        _arg("--iters", type=int, default=2),
+        _arg("--jobs", type=int, default=1,
+             help="worker processes, one scaling point each"),
+        _arg("--no-owners", action="store_true",
+             help="skip the background owner processes"),
+        _arg("--out", metavar="FILE", default=None,
+             help="also write the series as JSON"),
+    )),
+    "serve-bench": Command(
+        "sharded-directory serving tier: shard-count sweep",
+        cmd_serve_bench, (
+            _arg("--shards", type=int, nargs="+", default=[1, 2, 4, 8],
+                 help="shard counts of the series (default: 1 2 4 8)"),
+            _arg("--seed", type=int, default=21),
+            _arg("--rate", type=float, default=800.0, metavar="RPS",
+                 help="open-loop Poisson arrival rate (default: 800)"),
+            _arg("--duration", type=float, default=10.0,
+                 metavar="SECONDS",
+                 help="measured serving window (default: 10)"),
+            _arg("--keys", type=int, default=512,
+                 help="distinct keys in remote memory (default: 512)"),
+            _arg("--no-replication", action="store_true",
+                 help="run the shards without primary/backup log "
+                      "shipping"),
+            _arg("--jobs", type=int, default=1,
+                 help="worker processes, one shard-count point each "
+                      "(results identical at any value)"),
+            _arg("--out", metavar="FILE", default=None,
+                 help="also write the series as JSON"),
+        )),
+    "nondedicated": Command("Section 5.3.1 desktop-cluster run",
+                            cmd_nondedicated,
+                            (_arg("--iters", type=int, default=4),),
+                            observable=True),
+    "ablations": Command("design-choice ablations", cmd_ablations,
+                         (_arg("--scale", type=_scale, default=1 / 128),),
+                         observable=True),
+    # policy/workload names are validated by the config layer, not
+    # argparse choices, so typos produce the one-line repro: error that
+    # names every accepted value
+    "cache": Command("elastic-caching ablation: policies and migration",
+                     cmd_cache, (
+        _arg("--policies", nargs="+", metavar="POLICY",
+             default=["none", "lru", "lfu", "clock", "cost-aware"],
+             help="eviction policies to ablate (default: none lru lfu "
+                  "clock cost-aware)"),
+        _arg("--workloads", nargs="+", metavar="WORKLOAD",
+             default=["nondedicated", "fig7"],
+             help="workloads to run each policy on (default: "
+                  "nondedicated fig7)"),
+        _arg("--seed", type=int, default=9),
+        _arg("--iters", type=int, default=6,
+             help="benchmark iterations per cell (default: 6)"),
+        _arg("--out", metavar="FILE", default=None,
+             help="also write the ablation as canonical JSON"),
+    ), usage_errors=True),
+    "chaos": Command("nemesis fault-injection run with invariant auditing",
+                     cmd_chaos, (
+        _arg("experiment", choices=sorted(CHAOS_EXPERIMENTS),
+             help="which scenario the nemesis torments"),
+        _arg("--seed", type=int, default=0,
+             help="drives both the fault schedule and the simulator "
+                  "(default: 0)"),
+        _arg("--plan-in", metavar="FILE", default=None,
+             help="replay a previously exported fault plan (its "
+                  "embedded seed takes precedence)"),
+        _arg("--plan-out", metavar="FILE", default=None,
+             help="export the executed fault plan as JSON"),
+        _arg("--events-out", metavar="FILE", default=None,
+             help="write the run's structured event log as JSONL"),
+        _arg("--horizon", type=float, default=20.0, metavar="SECONDS",
+             help="virtual-time window faults are scheduled in "
+                  "(default: 20)"),
+        _arg("--audit", default="raise", dest="chaos_audit",
+             choices=("off", "warn", "raise"),
+             help="invariant-audit mode after every injection, heal, "
+                  "and at teardown (default: raise)"),
+    )),
+    "sweep": Command(
+        "parallel cached sweep over a grid of experiment points",
+        cmd_sweep, (
+            _arg("spec", metavar="SPEC",
+                 help="path to a sweep spec JSON, or a builtin: "
+                      + ", ".join(sorted(BUILTIN_SPECS))),
+            _arg("--jobs", type=int, default=1, metavar="N",
+                 help="worker processes (default: 1; per-point results "
+                      "are byte-identical at any value)"),
+            _arg("--cache-dir", metavar="DIR", default=".sweep-cache",
+                 help="content-addressed result cache directory "
+                      "(default: .sweep-cache; '' disables caching)"),
+            _arg("--resume", action="store_true",
+                 help="skip points already in the cache instead of "
+                      "recomputing them"),
+            _arg("--out", metavar="FILE", default=None,
+                 help="write the full sweep record (spec, keys, "
+                      "per-point results) as canonical JSON"),
+            _arg("--quiet", action="store_true",
+                 help="suppress per-point progress lines"),
+        ), usage_errors=True),
+    "record": Command(
+        "record a scenario run directory for serve/whatif", cmd_record,
+        _POLICY_ARGS + (
+            _arg("scenario", choices=SCENARIOS,
+                 help="which recordable scenario to run"),
+            _arg("--out", metavar="DIR", required=True,
+                 help="run directory to write (created if needed)"),
+            _arg("--seed", type=int, default=0),
+            _arg("--chaos", action="store_true",
+                 help="run under the seed-deterministic nemesis"),
+            _arg("--horizon", type=float, default=20.0, metavar="SECONDS",
+                 help="virtual-time fault window (default: 20)"),
+            _arg("--interval", type=float, default=0.25,
+                 metavar="SECONDS",
+                 help="telemetry sampling period (default: 0.25)"),
+            _arg("--audit", default="off", dest="record_audit",
+                 choices=("off", "warn", "raise"),
+                 help="invariant auditing during the run (default: off)"),
+        ), usage_errors=True),
+    "serve": Command(
+        "serve the fleet dashboard over a recorded or live run",
+        cmd_serve, (
+            _arg("target", metavar="RUN_DIR|SCENARIO",
+                 help="a recorded run directory, or a scenario name to "
+                      "run live (fig7, nondedicated)"),
+            _arg("--host", default="127.0.0.1",
+                 help="bind address (default: 127.0.0.1)"),
+            _arg("--port", type=int, default=8000,
+                 help="bind port (default: 8000; 0 picks a free one)"),
+            _arg("--seed", type=int, default=0,
+                 help="live mode: simulator seed (default: 0)"),
+            _arg("--chaos", action="store_true",
+                 help="live mode: run under the nemesis"),
+            _arg("--horizon", type=float, default=20.0, metavar="SECONDS"),
+            _arg("--interval", type=float, default=0.25,
+                 metavar="SECONDS",
+                 help="live mode: telemetry sampling period "
+                      "(default: 0.25)"),
+        ), usage_errors=True),
+    "whatif": Command(
+        "replay a recorded run under a changed policy", cmd_whatif,
+        _POLICY_ARGS + (
+            _arg("run_dir", metavar="RUN_DIR",
+                 help="a run directory written by 'repro record'"),
+            _arg("--out", metavar="FILE", default=None,
+                 help="also write the structured what-if document as "
+                      "canonical JSON"),
+        ), usage_errors=True),
+    "all": Command("everything (examples/reproduce_paper.py)", cmd_all,
+                   (_arg("--quick", action="store_true"),)),
 }
 
-#: subcommands that run simulations and accept the observability options
-#: ("all" shells out to a script, so tracing cannot be injected there)
-_TRACEABLE = ("fig1", "table1", "fig2", "disk", "fig7", "fig8",
-              "nondedicated", "ablations")
+#: ``repro trace|top|slo <experiment>``: views that run one observable
+#: subcommand at its defaults with tracing, telemetry or SLO collection
+#: forced on (see :func:`_observe`)
+_EXPERIMENT = _arg("experiment", choices=tuple(
+    name for name, command in COMMANDS.items() if command.observable))
 
-
-def _add_experiment_args(p: argparse.ArgumentParser, name: str) -> None:
-    if name in ("fig1", "table1", "fig2"):
-        p.add_argument("--days", type=float, default=4.0,
-                       help="simulated trace length in days")
-    if name == "fig7":
-        p.add_argument("--scale-lu", type=_scale, default=1 / 64)
-        p.add_argument("--scale-dmine", type=_scale, default=1 / 16)
-    if name == "fig8":
-        p.add_argument("--scale", type=_scale, default=1 / 64)
-        p.add_argument("--iters", type=int, default=4)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the panel grid "
-                            "(default: 1; results are identical at "
-                            "any value)")
-    if name == "scale":
-        p.add_argument("--hosts", type=int, nargs="+",
-                       default=[500, 1000, 2000],
-                       help="host counts of the series "
-                            "(default: 500 1000 2000)")
-        p.add_argument("--iters", type=int, default=2)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, one scaling point each")
-        p.add_argument("--no-owners", action="store_true",
-                       help="skip the background owner processes")
-        p.add_argument("--out", metavar="FILE", default=None,
-                       help="also write the series as JSON")
-    if name == "serve-bench":
-        p.add_argument("--shards", type=int, nargs="+",
-                       default=[1, 2, 4, 8],
-                       help="shard counts of the series "
-                            "(default: 1 2 4 8)")
-        p.add_argument("--seed", type=int, default=21)
-        p.add_argument("--rate", type=float, default=800.0,
-                       metavar="RPS",
-                       help="open-loop Poisson arrival rate "
-                            "(default: 800)")
-        p.add_argument("--duration", type=float, default=10.0,
-                       metavar="SECONDS",
-                       help="measured serving window (default: 10)")
-        p.add_argument("--keys", type=int, default=512,
-                       help="distinct keys in remote memory "
-                            "(default: 512)")
-        p.add_argument("--no-replication", action="store_true",
-                       help="run the shards without primary/backup "
-                            "log shipping")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, one shard-count point "
-                            "each (results identical at any value)")
-        p.add_argument("--out", metavar="FILE", default=None,
-                       help="also write the series as JSON")
-    if name == "nondedicated":
-        p.add_argument("--iters", type=int, default=4)
-    if name == "cache":
-        # policy/workload names are validated by the config layer, not
-        # argparse choices, so typos produce the one-line repro: error
-        # that names every accepted value
-        p.add_argument("--policies", nargs="+", metavar="POLICY",
-                       default=["none", "lru", "lfu", "clock",
-                                "cost-aware"],
-                       help="eviction policies to ablate (default: "
-                            "none lru lfu clock cost-aware)")
-        p.add_argument("--workloads", nargs="+", metavar="WORKLOAD",
-                       default=["nondedicated", "fig7"],
-                       help="workloads to run each policy on "
-                            "(default: nondedicated fig7)")
-        p.add_argument("--seed", type=int, default=9)
-        p.add_argument("--iters", type=int, default=6,
-                       help="benchmark iterations per cell (default: 6)")
-        p.add_argument("--out", metavar="FILE", default=None,
-                       help="also write the ablation as canonical JSON")
-    if name == "ablations":
-        p.add_argument("--scale", type=_scale, default=1 / 128)
-    if name == "all":
-        p.add_argument("--quick", action="store_true")
-    if name == "chaos":
-        from repro.faults.chaos import EXPERIMENTS
-        p.add_argument("experiment", choices=sorted(EXPERIMENTS),
-                       help="which scenario the nemesis torments")
-        p.add_argument("--seed", type=int, default=0,
-                       help="drives both the fault schedule and the "
-                            "simulator (default: 0)")
-        p.add_argument("--plan-in", metavar="FILE", default=None,
-                       help="replay a previously exported fault plan "
-                            "(its embedded seed takes precedence)")
-        p.add_argument("--plan-out", metavar="FILE", default=None,
-                       help="export the executed fault plan as JSON")
-        p.add_argument("--events-out", metavar="FILE", default=None,
-                       help="write the run's structured event log as JSONL")
-        p.add_argument("--horizon", type=float, default=20.0,
-                       metavar="SECONDS",
-                       help="virtual-time window faults are scheduled in "
-                            "(default: 20)")
-        p.add_argument("--audit", default="raise", dest="chaos_audit",
-                       choices=("off", "warn", "raise"),
-                       help="invariant-audit mode after every injection, "
-                            "heal, and at teardown (default: raise)")
-    if name in ("record", "whatif"):
-        _add_policy_args(p)
-    if name == "record":
-        from repro.obs.fleet.whatif import SCENARIOS
-        p.add_argument("scenario", choices=SCENARIOS,
-                       help="which recordable scenario to run")
-        p.add_argument("--out", metavar="DIR", required=True,
-                       help="run directory to write (created if needed)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--chaos", action="store_true",
-                       help="run under the seed-deterministic nemesis")
-        p.add_argument("--horizon", type=float, default=20.0,
-                       metavar="SECONDS",
-                       help="virtual-time fault window (default: 20)")
-        p.add_argument("--interval", type=float, default=0.25,
-                       metavar="SECONDS",
-                       help="telemetry sampling period (default: 0.25)")
-        p.add_argument("--audit", default="off", dest="record_audit",
-                       choices=("off", "warn", "raise"),
-                       help="invariant auditing during the run "
-                            "(default: off)")
-    if name == "whatif":
-        p.add_argument("run_dir", metavar="RUN_DIR",
-                       help="a run directory written by 'repro record'")
-        p.add_argument("--out", metavar="FILE", default=None,
-                       help="also write the structured what-if document "
-                            "as canonical JSON")
-    if name == "serve":
-        p.add_argument("target", metavar="RUN_DIR|SCENARIO",
-                       help="a recorded run directory, or a scenario "
-                            "name to run live (fig7, nondedicated)")
-        p.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-        p.add_argument("--port", type=int, default=8000,
-                       help="bind port (default: 8000; 0 picks a free "
-                            "one)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="live mode: simulator seed (default: 0)")
-        p.add_argument("--chaos", action="store_true",
-                       help="live mode: run under the nemesis")
-        p.add_argument("--horizon", type=float, default=20.0,
-                       metavar="SECONDS")
-        p.add_argument("--interval", type=float, default=0.25,
-                       metavar="SECONDS",
-                       help="live mode: telemetry sampling period "
-                            "(default: 0.25)")
-    if name == "sweep":
-        from repro.sweep.spec import BUILTIN_SPECS
-        p.add_argument("spec", metavar="SPEC",
-                       help="path to a sweep spec JSON, or a builtin: "
-                            + ", ".join(sorted(BUILTIN_SPECS)))
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (default: 1; per-point "
-                            "results are byte-identical at any value)")
-        p.add_argument("--cache-dir", metavar="DIR",
-                       default=".sweep-cache",
-                       help="content-addressed result cache directory "
-                            "(default: .sweep-cache; '' disables "
-                            "caching)")
-        p.add_argument("--resume", action="store_true",
-                       help="skip points already in the cache instead "
-                            "of recomputing them")
-        p.add_argument("--out", metavar="FILE", default=None,
-                       help="write the full sweep record (spec, keys, "
-                            "per-point results) as canonical JSON")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress per-point progress lines")
+SHORTHANDS: dict[str, Command] = {
+    "trace": Command(
+        "run one experiment with tracing on and report the fetch-path "
+        "latency breakdown", cmd_observe, (
+            _EXPERIMENT,
+            _arg("--out", metavar="FILE", default="trace.json",
+                 help="trace file to write (default: trace.json)"),
+            _arg("--metrics-out", metavar="FILE", default=None),
+            _arg("--kernel-events", action="store_true"),
+        ) + TELEMETRY_ARGS),
+    "top": Command(
+        "run one experiment with telemetry on and render an ASCII "
+        "dashboard of cluster memory/idleness over virtual time",
+        cmd_observe, (_EXPERIMENT,) + TELEMETRY_ARGS),
+    "slo": Command(
+        "run one experiment with per-request SLI collection on and "
+        "report tail latencies, the critical-path blame table and SLO "
+        "burn-rate verdicts", cmd_observe, (
+            _EXPERIMENT,
+            _arg("--out", metavar="FILE", default=None,
+                 help="also write the report as canonical JSON"),
+            _arg("--alpha", type=float, default=0.01,
+                 help="latency-sketch relative-error bound "
+                      "(default: 0.01)"),
+            _arg("--trace-out", metavar="FILE", default=None,
+                 help="also write the Chrome trace (with the "
+                      "critical-path track) of the run"),
+        ) + TELEMETRY_ARGS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The complete ``repro`` argument parser (one subcommand per
-    experiment, plus trace/top/chaos/sweep)."""
+    """The complete ``repro`` argument parser: ``list``, then one
+    subcommand per :data:`COMMANDS` and :data:`SHORTHANDS` record."""
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
-
-    listp = sub.add_parser("list", help="list available experiments")
-    listp.set_defaults(func=None)
-
-    for name, (help_text, func) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        _add_experiment_args(p, name)
-        if name in _TRACEABLE:
-            p.add_argument("--trace-out", metavar="FILE", default=None,
-                           help="write a Chrome trace-event JSON of the run")
-            p.add_argument("--metrics-out", metavar="FILE", default=None,
-                           help="write a JSON snapshot of all recorders")
-            p.add_argument("--kernel-events", action="store_true",
-                           help="include per-event kernel dispatch instants "
-                                "in the trace (verbose)")
-            _add_telemetry_args(p)
-
-    tracep = sub.add_parser(
-        "trace", help="run one experiment with tracing on and report "
-                      "the fetch-path latency breakdown")
-    tracep.add_argument("experiment", choices=_TRACEABLE)
-    tracep.add_argument("--out", metavar="FILE", default="trace.json",
-                        help="trace file to write (default: trace.json)")
-    tracep.add_argument("--metrics-out", metavar="FILE", default=None)
-    tracep.add_argument("--kernel-events", action="store_true")
-    _add_telemetry_args(tracep)
-    tracep.set_defaults(func=cmd_trace, _trace_shorthand=True)
-
-    topp = sub.add_parser(
-        "top", help="run one experiment with telemetry on and render an "
-                    "ASCII dashboard of cluster memory/idleness over "
-                    "virtual time")
-    topp.add_argument("experiment", choices=_TRACEABLE)
-    _add_telemetry_args(topp)
-    topp.set_defaults(func=cmd_top, _top_shorthand=True)
-
-    slop = sub.add_parser(
-        "slo", help="run one experiment with per-request SLI collection "
-                    "on and report tail latencies, the critical-path "
-                    "blame table and SLO burn-rate verdicts")
-    slop.add_argument("experiment", choices=_TRACEABLE)
-    slop.add_argument("--out", metavar="FILE", default=None,
-                      help="also write the report as canonical JSON")
-    slop.add_argument("--alpha", type=float, default=0.01,
-                      help="latency-sketch relative-error bound "
-                           "(default: 0.01)")
-    slop.add_argument("--trace-out", metavar="FILE", default=None,
-                      help="also write the Chrome trace (with the "
-                           "critical-path track) of the run")
-    _add_telemetry_args(slop)
-    slop.set_defaults(func=cmd_slo, _slo_shorthand=True)
+    sub.add_parser("list", help="list available experiments")
+    for name, command in {**COMMANDS, **SHORTHANDS}.items():
+        p = sub.add_parser(name, help=command.help)
+        for flags, kwargs in command.args + (OBS_ARGS if command.observable
+                                             else ()):
+            p.add_argument(*flags, **kwargs)
     return parser
-
-
-def _add_policy_args(p: argparse.ArgumentParser) -> None:
-    """The what-if policy knobs shared by ``record`` and ``whatif``.
-
-    All default to None: ``record`` fills in the scenario defaults
-    (lru/random), ``whatif`` treats None as "keep the recorded value".
-    """
-    from repro.core.manager import PLACEMENTS
-    from repro.core.policy import POLICIES
-    p.add_argument("--replacement", default=None,
-                   choices=sorted(POLICIES),
-                   help="region-cache replacement policy")
-    p.add_argument("--placement", default=None, choices=PLACEMENTS,
-                   help="manager host-placement policy")
-    p.add_argument("--idle-window", type=float, default=None,
-                   metavar="SECONDS",
-                   help="recruitment idle-window (nondedicated only)")
-    p.add_argument("--load-threshold", type=float, default=None,
-                   metavar="FRACTION",
-                   help="recruitment load threshold (nondedicated only)")
-
-
-def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--telemetry-out", metavar="FILE", default=None,
-                   help="write sampled time series as long-format CSV")
-    p.add_argument("--telemetry-json", metavar="FILE", default=None,
-                   help="write sampled time series as JSON")
-    p.add_argument("--telemetry-interval", type=float, default=1.0,
-                   metavar="SECONDS",
-                   help="virtual-time sampling period (default: 1.0)")
-    p.add_argument("--events-out", metavar="FILE", default=None,
-                   help="write the structured event log as JSONL")
-    p.add_argument("--events-level", default="info",
-                   choices=("debug", "info", "warn", "error"),
-                   help="minimum event severity recorded (default: info)")
-    p.add_argument("--audit", default="off",
-                   choices=("off", "warn", "raise"), dest="audit_mode",
-                   help="cross-check cluster invariants at sample points "
-                        "and teardown (warn: report; raise: fail the run)")
-
-
-def _finish_observability(args, tracer, sli=None) -> None:
-    from repro.obs.breakdown import fetch_breakdown, format_fetch_breakdown
-    from repro.obs.export import write_chrome_trace
-    from repro.obs.snapshot import write_snapshot
-
-    if getattr(args, "trace_out", None):
-        n = write_chrome_trace(tracer, args.trace_out, sli=sli)
-        print(f"\nwrote {n} trace events to {args.trace_out}",
-              file=sys.stderr)
-        breakdown = fetch_breakdown(tracer.spans)
-        if breakdown["count"]:
-            print()
-            print(format_fetch_breakdown(breakdown))
-    if getattr(args, "metrics_out", None):
-        n = write_snapshot(args.metrics_out,
-                           meta={"command": args.command})
-        print(f"wrote {n} recorder snapshots to {args.metrics_out}",
-              file=sys.stderr)
-
-
-def _finish_telemetry(args, telemetry, eventlog, auditor) -> None:
-    if getattr(args, "telemetry_out", None):
-        n = telemetry.write_csv(args.telemetry_out)
-        print(f"wrote {n} time-series rows to {args.telemetry_out}",
-              file=sys.stderr)
-    if getattr(args, "telemetry_json", None):
-        n = telemetry.write_json(args.telemetry_json,
-                                 meta={"command": args.command})
-        print(f"wrote {n} time series to {args.telemetry_json}",
-              file=sys.stderr)
-    if getattr(args, "events_out", None):
-        n = eventlog.write_jsonl(args.events_out)
-        print(f"wrote {n} events to {args.events_out}", file=sys.stderr)
-    if getattr(args, "_top_shorthand", False):
-        from repro.obs.dashboard import render_dashboard
-        print()
-        print(render_dashboard(telemetry, eventlog=eventlog,
-                               auditor=auditor, title=args.experiment))
-    elif auditor is not None:
-        print(auditor.format_report(), file=sys.stderr)
-
-
-def _finish_slo(args, sli, engine) -> None:
-    """Print the ``repro slo`` report; honor ``--out``."""
-    from repro.obs.slo import build_slo_report, format_slo_report
-    doc = build_slo_report(sli, engine,
-                           meta={"command": args.experiment})
-    print()
-    print(format_slo_report(doc))
-    if getattr(args, "out", None):
-        _write_out(args.out, doc, "SLO report")
 
 
 def main(argv=None) -> int:
@@ -727,94 +727,17 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    """Run the parsed command, wiring observability when requested."""
-    if args.command is None or args.command == "list":
-        from repro.sweep.spec import BUILTIN_SPECS
-        print("available experiments:")
-        for name, (help_text, _) in COMMANDS.items():
-            print(f"  {name:14s} {help_text}")
-        print("builtin sweep specs (repro sweep <name>):")
-        for name in sorted(BUILTIN_SPECS):
-            print(f"  {name}")
+    """Run the parsed command; observable ones inside a session."""
+    if args.command in (None, "list"):
+        cmd_list(args)
         return 0
-
-    if getattr(args, "_trace_shorthand", False) \
-            or getattr(args, "_top_shorthand", False) \
-            or getattr(args, "_slo_shorthand", False):
-        # "repro trace/top/slo <exp>": reuse the experiment's arg defaults
-        exp_parser = argparse.ArgumentParser()
-        _add_experiment_args(exp_parser, args.experiment)
-        for key, value in vars(exp_parser.parse_args([])).items():
-            setattr(args, key, value)
-
-    if args.command in ("chaos", "sweep", "record", "serve", "whatif"):
-        # these manage their own event logs and observability
-        # (they must wrap only the simulations, not the CLI plumbing)
-        return args.func(args) or 0
-
-    wants_slo = bool(getattr(args, "_slo_shorthand", False))
-    wants_trace = bool(getattr(args, "trace_out", None)
-                       or getattr(args, "metrics_out", None)
-                       or getattr(args, "_trace_shorthand", False)
-                       or wants_slo)
-    wants_telemetry = bool(getattr(args, "telemetry_out", None)
-                           or getattr(args, "telemetry_json", None)
-                           or getattr(args, "events_out", None)
-                           or getattr(args, "audit_mode", "off") != "off"
-                           or getattr(args, "_top_shorthand", False)
-                           or wants_slo)
-    if not wants_trace and not wants_telemetry:
-        args.func(args)
-        return 0
-
-    from repro.metrics.recorder import start_collection, stop_collection
-    tracer = telemetry = eventlog = auditor = sli = slo_engine = None
-    prev_tracer = prev_telemetry = prev_eventlog = None
-    if wants_trace:
-        from repro.obs.tracer import Tracer, install
-        tracer = Tracer(kernel_events=getattr(args, "kernel_events", False))
-        prev_tracer = install(tracer)
-    if wants_telemetry:
-        from repro.core.config import ObsConfig
-        from repro.obs.audit import make_auditor
-        from repro.obs.eventlog import EventLog, install_eventlog
-        from repro.obs.timeseries import Telemetry, install_telemetry
-        obs = ObsConfig(
-            telemetry_interval_s=getattr(args, "telemetry_interval", 1.0),
-            eventlog_level=getattr(args, "events_level", "info"),
-            audit_mode=getattr(args, "audit_mode", "off"))
-        eventlog = EventLog(level=obs.eventlog_level)
-        auditor = make_auditor(obs.audit_mode, eventlog=eventlog)
-        telemetry = Telemetry(interval_s=obs.telemetry_interval_s,
-                              max_samples=obs.telemetry_max_samples,
-                              auditor=auditor, audit_every=obs.audit_every)
-        eventlog.telemetry = telemetry  # shared run numbering
-        prev_telemetry = install_telemetry(telemetry)
-        prev_eventlog = install_eventlog(eventlog)
-    if wants_slo:
-        from repro.obs.slo import SliCollector, SloEngine, attach_sli
-        sli = SliCollector(alpha=getattr(args, "alpha", 0.01))
-        attach_sli(tracer, sli)
-        slo_engine = SloEngine(sli=sli, eventlog=eventlog)
-        sli.engine = slo_engine
-        telemetry.slo = slo_engine
-    collected = start_collection()  # keep recorders alive for the snapshot
+    command = {**COMMANDS, **SHORTHANDS}[args.command]
     try:
-        args.func(args)
-        if telemetry is not None:
-            telemetry.finalize()  # may raise AuditError in --audit raise
-        if tracer is not None:
-            _finish_observability(args, tracer, sli)
-        if telemetry is not None:
-            _finish_telemetry(args, telemetry, eventlog, auditor)
-        if wants_slo:
-            _finish_slo(args, sli, slo_engine)
-    finally:
-        stop_collection(collected)
-        if wants_trace:
-            from repro.obs.tracer import install
-            install(prev_tracer)
-        if wants_telemetry:
-            install_telemetry(prev_telemetry)
-            install_eventlog(prev_eventlog)
-    return 0
+        if command.observable:
+            _observe(args, command.handler)
+            return 0
+        return command.handler(args) or 0
+    except ValueError as exc:
+        if not command.usage_errors:
+            raise
+        raise CliError(str(exc)) from exc

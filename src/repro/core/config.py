@@ -24,29 +24,6 @@ PLACEMENTS = ("random", "most-free", "round-robin")
 
 
 @dataclass(frozen=True)
-class ObsConfig:
-    """Observability knobs shared by the CLI and experiment runners.
-
-    One value object so a runner can thread "how should this run be
-    observed" around without a half-dozen loose parameters; the CLI
-    builds one from its ``--telemetry-*`` / ``--events-*`` / ``--audit``
-    flags.  Everything is off by default — simulation code pays nothing
-    unless a subsystem is explicitly installed.
-    """
-
-    #: virtual-time sampling period of the telemetry engine
-    telemetry_interval_s: float = 1.0
-    #: per-run sample cap (guards drain-forever simulations)
-    telemetry_max_samples: int = 200_000
-    #: minimum event-log severity recorded ("debug"/"info"/"warn"/"error")
-    eventlog_level: str = "info"
-    #: invariant-audit mode: "off", "warn" or "raise"
-    audit_mode: str = "off"
-    #: run the audit at every Nth telemetry sample point
-    audit_every: int = 1
-
-
-@dataclass(frozen=True)
 class CacheConfig:
     """The elastic-caching policy block (``DodoConfig.cache``).
 

@@ -159,24 +159,19 @@ def run_chaos(experiment: str = "fig7", seed: int = 0,
     runs the scenario with the elastic-caching subsystem on — the
     differential migration tests replay reclaim storms this way.
     """
-    from repro.obs.audit import make_auditor
-    from repro.obs.eventlog import EventLog, install_eventlog
+    from repro.obs.session import ObsSession
 
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown chaos experiment {experiment!r}, "
                          f"expected one of {EXPERIMENTS}")
     if plan is not None and plan.seed is not None:
         seed = plan.seed
-    log = EventLog(level=eventlog_level)
-    auditor = make_auditor(audit, eventlog=log)
-    previous = install_eventlog(log)
-    try:
+    with ObsSession(events=eventlog_level, audit=audit) as obs:
         run = play_scenario(experiment, seed, plan, horizon_s=horizon_s,
-                            auditor=auditor, cache=cache)
-    finally:
-        install_eventlog(previous)
+                            auditor=obs.auditor, cache=cache)
     testbed = run["testbed"]
-    return {"plan": run["plan"], "eventlog": log, "auditor": auditor,
+    return {"plan": run["plan"], "eventlog": obs.eventlog,
+            "auditor": obs.auditor,
             "result": run["result"], "degraded": run["runner"].degraded,
             "platform": testbed, "injected": testbed.nemesis.injected,
             "healed": testbed.nemesis.healed, "experiment": experiment,

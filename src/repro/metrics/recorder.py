@@ -39,8 +39,9 @@ def start_collection() -> list:
     """Keep every Recorder created from now on alive (strong refs).
 
     The registry itself is weak so experiments don't leak; a snapshot
-    taken *after* a run would then see nothing.  The CLI brackets a run
-    with ``start_collection()`` / ``stop_collection()`` so the run's
+    taken *after* a run would then see nothing.  An observability
+    session (:class:`repro.obs.session.ObsSession`, ``collect=True``)
+    brackets a run with this and :func:`stop_collection` so the run's
     recorders survive until the snapshot is written.  Returns the list
     holding the references.
     """
@@ -55,6 +56,11 @@ def stop_collection(collected: list) -> None:
         _COLLECTORS.remove(collected)
     except ValueError:
         pass
+
+
+def collecting() -> bool:
+    """Whether any :func:`start_collection` list is still collecting."""
+    return bool(_COLLECTORS)
 
 
 def _register(rec: "Recorder") -> None:

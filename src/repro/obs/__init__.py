@@ -3,8 +3,10 @@
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and workflows.  The
 usual entry points:
 
+* :class:`ObsSession` — build, install and restore the engines one run
+  asks for (the CLI's flags, ``repro record``/``whatif``/``chaos``).
 * :func:`install` / :class:`Tracer` — turn tracing on for subsequently
-  created simulators (the CLI's ``--trace-out`` and ``repro trace``).
+  created simulators.
 * :func:`write_chrome_trace` — Perfetto-viewable trace-event JSON.
 * :func:`fetch_breakdown` / :func:`format_fetch_breakdown` — per-layer
   latency decomposition of ``mread``/``mwrite`` (the paper's Tables 3/4).
@@ -24,7 +26,7 @@ usual entry points:
   experiment stack).
 """
 
-from repro.obs.audit import AuditError, Auditor, Finding, make_auditor
+from repro.obs.audit import AuditError, Auditor, Finding
 from repro.obs.breakdown import (COMPONENT_LAYER, LAYER_ORDER,
                                  fetch_breakdown, format_fetch_breakdown,
                                  layer_of)
@@ -37,6 +39,7 @@ from repro.obs.files import atomic_write
 from repro.obs.fleet.model import (ActivityRow, HostView, RunView,
                                    SeriesView, build_fleet_view,
                                    build_run_view)
+from repro.obs.session import ObsSession
 from repro.obs.snapshot import dump_snapshot, group_name, merged_snapshot, \
     recorder_snapshot, snapshot, write_snapshot
 from repro.obs.timeseries import NULL_TELEMETRY, GaugeSeries, RunTelemetry, \
@@ -58,6 +61,7 @@ __all__ = [
     "NULL_EVENTLOG",
     "NULL_TELEMETRY",
     "NULL_TRACER",
+    "ObsSession",
     "RunTelemetry",
     "RunView",
     "SeriesView",
@@ -80,7 +84,6 @@ __all__ = [
     "install_eventlog",
     "install_telemetry",
     "layer_of",
-    "make_auditor",
     "merged_snapshot",
     "pick_run",
     "recorder_snapshot",

@@ -24,7 +24,6 @@ raises :class:`AuditError` at the end of the failing pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 #: audit modes, in increasing loudness
 MODES = ("off", "warn", "raise")
@@ -419,10 +418,3 @@ class Auditor:
                     "migration.unaccounted", f"cmd{cmd.shard_id}",
                     f"{attempted} migration attempt(s), only {settled} "
                     f"settled as ok/failed", sim.now))
-
-
-def make_auditor(mode: str, eventlog=None) -> Optional[Auditor]:
-    """Factory used by the CLI: None for mode ``"off"``."""
-    if mode == "off":
-        return None
-    return Auditor(mode=mode, eventlog=eventlog)

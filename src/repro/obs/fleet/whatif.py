@@ -146,67 +146,43 @@ def run_scenario(scenario: str, seed: int = 0,
     SLI collection only *reads* spans, so metrics and virtual times are
     identical either way.
     """
-    from repro.obs.audit import make_auditor
-    from repro.obs.eventlog import EventLog, install_eventlog
-    from repro.obs.timeseries import Telemetry, install_telemetry
-    from repro.obs.tracer import Tracer, install
+    from repro.obs.session import ObsSession
 
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, "
                          f"expected one of {SCENARIOS}")
     policy = policy or WhatIfPolicy()
-    if telemetry is None:
-        telemetry = Telemetry(interval_s=interval_s)
-    if eventlog is None:
-        eventlog = EventLog(level=eventlog_level, telemetry=telemetry)
-    sli = engine = tracer = None
-    prev_tracer = None
-    if slo:
-        from repro.obs.slo import SliCollector, SloEngine, attach_sli
-        tracer = Tracer()
-        sli = SliCollector()
-        attach_sli(tracer, sli)
-        engine = SloEngine(sli=sli, eventlog=eventlog)
-        sli.engine = engine
-        telemetry.slo = engine
-        prev_tracer = install(tracer)
     # the auditor rides the nemesis (audit after every injection/heal)
     # and the teardown pass, NOT the periodic sampler: during a fault
     # window directory entries are invalidated lazily (epoch checks), so
     # a mid-fault sample legitimately sees transient inconsistencies
-    auditor = make_auditor(audit, eventlog=eventlog)
-    prev_t = install_telemetry(telemetry)
-    prev_e = install_eventlog(eventlog)
-    try:
+    with ObsSession(interval_s=interval_s, telemetry=telemetry,
+                    events=eventlog_level, eventlog=eventlog,
+                    audit=audit, slo=slo) as obs:
         out = play_scenario(
             scenario, seed, chaos=chaos, horizon_s=horizon_s,
-            auditor=auditor, placement=policy.placement,
+            auditor=obs.auditor, placement=policy.placement,
             replacement=policy.replacement,
             idle_window_s=policy.idle_window_s,
             load_threshold=policy.load_threshold)
-        telemetry.finalize()
-        insights = build_insights(telemetry, eventlog)
-        emit_insights(eventlog, out["testbed"].sim, insights)
-    finally:
-        install_telemetry(prev_t)
-        install_eventlog(prev_e)
-        if slo:
-            install(prev_tracer)
+    telemetry, eventlog = obs.telemetry, obs.eventlog
+    insights = build_insights(telemetry, eventlog)
+    emit_insights(eventlog, out["testbed"].sim, insights)
     metrics = collect_metrics(out["runner"], out["result"], eventlog)
     meta = {"scenario": scenario, "seed": seed, "chaos": bool(chaos),
             "horizon_s": horizon_s, "interval_s": interval_s,
             "policy": policy.to_meta(), "metrics": metrics}
     result = {"telemetry": telemetry, "eventlog": eventlog,
-              "auditor": auditor, "result": out["result"],
+              "auditor": obs.auditor, "result": out["result"],
               "metrics": metrics, "insights": insights,
               "meta": jsonify(meta)}
     if slo:
         from repro.obs.slo import build_slo_report
-        result["sli"] = sli
-        result["slo"] = engine
+        result["sli"] = obs.sli
+        result["slo"] = obs.slo
         result["slo_report"] = build_slo_report(
-            sli, engine, meta={"scenario": scenario, "seed": seed,
-                               "chaos": bool(chaos)})
+            obs.sli, obs.slo, meta={"scenario": scenario, "seed": seed,
+                                    "chaos": bool(chaos)})
     return result
 
 

@@ -13,14 +13,13 @@ the existing observability stack:
 * :mod:`repro.obs.slo.report` — the ``repro slo`` report document and
   its tables.
 
-Wire-up (the CLI's ``repro slo`` does all of this)::
+Wire-up: an observability session builds a tracer whose span ends
+feed the collector, whose records feed the engine, which the telemetry
+sampler evaluates (``repro slo`` and ``repro record`` run one)::
 
-    tracer = Tracer()
-    sli = SliCollector()
-    attach_sli(tracer, sli)          # span ends feed request records
-    engine = SloEngine(sli=sli, eventlog=eventlog)
-    sli.engine = engine              # records feed SLO counters
-    telemetry.slo = engine           # sampler evaluates + records series
+    with ObsSession(interval_s=1.0, events="info", slo=True) as obs:
+        ...                          # run the workload
+    report = build_slo_report(obs.sli, obs.slo)
 
 Everything is byte-identical deterministic, reads simulated state only
 (zero perturbation even when enabled), and costs nothing when disabled.

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, IO, Optional
 
 from repro.obs.files import atomic_write
+from repro.obs.session import observing
 from repro.sweep.cache import ResultCache, code_fingerprint, point_key
 from repro.sweep.runner import run_sweep_point
 from repro.sweep.spec import SweepPoint, SweepSpec, canonical_text
@@ -70,6 +71,18 @@ def _apply(payload: tuple) -> object:
     return fn(**kwargs)
 
 
+def _refuse_observed_fan_out(jobs: int) -> None:
+    """Raise :class:`ValueError` for ``jobs > 1`` while an observability
+    engine or a recorder collection is installed: the workers would
+    record into their own copies, and the run would write empty outputs
+    and pass an audit that checked nothing."""
+    if jobs > 1 and observing():
+        raise ValueError(
+            f"cannot fan out to {jobs} worker processes while tracing, "
+            "telemetry, an event log or a recorder snapshot is on: the "
+            "workers' observations would be lost; run with one job")
+
+
 def parallel_map(fn: Callable, kwargs_list: list[dict], jobs: int = 1,
                  mp_context: Optional[str] = None) -> list:
     """Run ``fn(**kwargs)`` for each entry, optionally on a pool.
@@ -79,7 +92,9 @@ def parallel_map(fn: Callable, kwargs_list: list[dict], jobs: int = 1,
     sibling of :func:`run_sweep` for callers that want parallelism but
     manage their own result shapes and caching — e.g.
     :func:`repro.exp.fig8.run_fig8` routes its panel grid through here.
+    Both refuse ``jobs > 1`` under observation.
     """
+    _refuse_observed_fan_out(jobs)
     payloads = [(fn, kwargs) for kwargs in kwargs_list]
     if jobs <= 1 or len(payloads) <= 1:
         return [_apply(p) for p in payloads]
@@ -173,6 +188,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
     *read back* when ``resume=True`` (so a plain re-run recomputes and
     refreshes entries, while ``--resume`` skips them).
     """
+    _refuse_observed_fan_out(jobs)
     started = time.perf_counter()
     fingerprint = code_fingerprint()
     cache = ResultCache(cache_dir) if cache_dir else None

@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.core.allocator import BuddyAllocator, FirstFitAllocator
-from repro.obs.audit import AuditError, Auditor, make_auditor
+from repro.obs.audit import AuditError, Auditor
 from repro.obs.eventlog import EventLog
 from repro.obs.timeseries import Telemetry, install_telemetry
 from repro.sim import Simulator
@@ -150,8 +150,11 @@ def test_buddy_check_detects_misalignment():
     assert any("aligned" in p for p in alloc.check())
 
 
-def test_make_auditor_off_is_none():
-    assert make_auditor("off") is None
-    assert make_auditor("warn").mode == "warn"
+def test_audit_mode_off_builds_no_auditor():
+    from repro.obs.session import ObsSession
+    assert ObsSession(events="info").auditor is None
+    assert ObsSession(events="info", audit="warn").auditor.mode == "warn"
+    with pytest.raises(ValueError):
+        ObsSession(events="info", audit="loud")
     with pytest.raises(ValueError):
         Auditor(mode="loud")

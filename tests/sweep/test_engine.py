@@ -195,6 +195,48 @@ def test_parallel_map_preserves_input_order():
     assert [r["seed"] for r in pooled] == list(range(5))
 
 
+def test_parallel_map_refuses_to_fan_out_under_observation():
+    """Workers would trace, sample and collect into their own copies of
+    the engines: refuse, but still run inline with one job."""
+    from repro.metrics.recorder import start_collection, stop_collection
+    from repro.obs.session import ObsSession
+    kwargs = [dict(seed=s, x=7) for s in range(2)]
+    for session in (dict(trace=True), dict(interval_s=1.0),
+                    dict(events="info")):
+        with ObsSession(**session):
+            with pytest.raises(ValueError, match="cannot fan out"):
+                parallel_map(_selftest, kwargs, jobs=2)
+            assert parallel_map(_selftest, kwargs, jobs=1) == \
+                [_selftest(**k) for k in kwargs]
+    collected = start_collection()
+    try:
+        with pytest.raises(ValueError, match="cannot fan out"):
+            parallel_map(_selftest, kwargs, jobs=2)
+    finally:
+        stop_collection(collected)
+    assert [r["seed"] for r in parallel_map(_selftest, kwargs, jobs=2)] \
+        == [0, 1]
+
+
+def test_run_sweep_refuses_to_fan_out_under_observation():
+    from repro.obs.session import ObsSession
+    with ObsSession(trace=True):
+        with pytest.raises(ValueError, match="cannot fan out"):
+            run_sweep(_selftest_spec(), jobs=2)
+        assert run_sweep(_selftest_spec(), jobs=1).ran == 3
+
+
+def test_run_fig8_refuses_jobs_under_an_installed_tracer():
+    from repro.exp.fig8 import run_fig8
+    from repro.obs.tracer import Tracer, install
+    previous = install(Tracer())
+    try:
+        with pytest.raises(ValueError, match="cannot fan out"):
+            run_fig8(scale=1 / 1024, num_iter=1, jobs=2)
+    finally:
+        install(previous)
+
+
 def test_run_fig8_panel_routes_through_engine_identically():
     from repro.exp.fig8 import run_panel
     kwargs = dict(req_size=8192, dataset_gb=1, scale=1 / 256,

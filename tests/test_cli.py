@@ -324,3 +324,57 @@ def test_sweep_unknown_experiment_is_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown experiment(s) fig99" in err
     assert "Traceback" not in err
+
+
+# -- observed fan-out and 'repro all' -----------------------------------------
+
+@pytest.mark.parametrize("flags", [
+    ["--trace-out", "t.json", "--metrics-out", "m.json"],
+    ["--telemetry-out", "t.csv", "--events-out", "e.jsonl",
+     "--audit", "raise"],
+])
+def test_observed_fan_out_is_a_one_line_error(flags, tmp_path, monkeypatch,
+                                              capsys):
+    """The engines live in this process, so an observed run must not
+    fan out: its outputs would be empty and its audit would check
+    nothing.  One ``repro:`` line, exit 2, no output files."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["fig8", "--scale", "1/1024", "--iters", "1",
+                 "--jobs", "2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro: cannot fan out to 2 worker")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_all_runs_the_checkout_script_from_any_directory(tmp_path,
+                                                         monkeypatch):
+    import os
+    import subprocess
+    calls = []
+    monkeypatch.setattr(subprocess, "call",
+                        lambda cmd: calls.append(cmd) or 0)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["all", "--quick"])
+    assert exc.value.code == 0
+    (cmd,) = calls
+    assert os.path.isfile(cmd[1])
+    assert cmd[1].endswith(os.path.join("examples", "reproduce_paper.py"))
+    assert cmd[2:] == ["--quick"]
+
+
+def test_all_without_the_script_is_one_line_error(tmp_path, monkeypatch,
+                                                  capsys):
+    import subprocess
+
+    import repro.cli as cli
+    monkeypatch.setattr(cli, "__file__",
+                        str(tmp_path / "src" / "repro" / "cli.py"))
+    monkeypatch.setattr(subprocess, "call", lambda cmd: pytest.fail(
+        f"ran {cmd} without checking the script exists"))
+    assert main(["all"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: ") and "reproduce_paper.py" in err
+    assert len(err.strip().splitlines()) == 1
