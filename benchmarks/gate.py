@@ -101,7 +101,7 @@ def _bulk_once(size: int, fastpath: bool) -> dict:
     from repro.net.bulk import BulkParams
     from repro.sim import Simulator
 
-    sim = Simulator(seed=1)
+    sim = Simulator(seed=1, fastpath=fastpath)
     network = Network(sim)
     eps = {}
     for host in ("a", "b"):
@@ -111,7 +111,7 @@ def _bulk_once(size: int, fastpath: bool) -> dict:
                                       transport_params("udp"))
     tx = eps["a"].socket()
     rx = eps["b"].socket(port=7, recvbuf=256 * 1024)
-    params = BulkParams(fastpath=fastpath)
+    params = BulkParams()
 
     def sender():
         yield sim.process(send_bulk(tx, ("b", 7), size, params=params))
@@ -162,7 +162,7 @@ def bench_fig7() -> dict:
     res = run_lu("udp", scale=1 / 64)
     wall = time.perf_counter() - t0
     t0 = time.perf_counter()
-    res_pkt = run_lu("udp", scale=1 / 64, bulk_fastpath=False)
+    res_pkt = run_lu("udp", scale=1 / 64, fastpath=False)
     wall_pkt = time.perf_counter() - t0
     assert res == res_pkt, \
         "fast path changed fig7 results — this is a correctness bug"

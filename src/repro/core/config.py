@@ -164,9 +164,9 @@ class DodoConfig:
     dedicated: bool = False
 
     # -- bulk transfer ---------------------------------------------------------------
-    #: bulk-transfer parameters; ``bulk.fastpath`` switches the
-    #: flow-level fast path (docs/PERFORMANCE.md): simulated timing is
-    #: identical either way, only the simulator events spent change
+    #: bulk-transfer parameters (timeouts, retries, linger); the fast
+    #: paths are switched on the simulator, ``Simulator(fastpath=)``
+    #: (docs/PERFORMANCE.md)
     bulk: BulkParams = field(default_factory=BulkParams)
 
     def __post_init__(self):

@@ -23,7 +23,6 @@ from dataclasses import replace
 from repro.core.config import DodoConfig
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.metrics.report import format_table
-from repro.net.bulk import BulkParams
 from repro.sim import Simulator
 from repro.storage.filesystem import FsParams
 from repro.workloads.app import TraceRunner
@@ -57,19 +56,19 @@ def lu_params_for_scale(scale: float) -> LuParams:
 
 
 def run_lu(transport: str, scale: float = 1 / 64, seed: int = 7,
-           bulk_fastpath: bool = True) -> dict:
+           fastpath: bool = True) -> dict:
     """One lu bar: calibrate compute, run baseline and Dodo.
 
-    ``bulk_fastpath=False`` forces every region transfer through the
-    packet-by-packet path — simulated results are identical either way
-    (the perf-smoke harness uses the pair to measure wall-clock gain).
+    ``fastpath=False`` turns every fast path off (``Simulator``), so
+    region transfers, datagrams and disk requests run event by event —
+    simulated results are identical either way (the bench gate uses the
+    pair to measure wall-clock gain).
     """
     params = lu_params_for_scale(scale)
-    config = DodoConfig(transport=transport, store_payload=False,
-                        bulk=BulkParams(fastpath=bulk_fastpath))
+    config = DodoConfig(transport=transport, store_payload=False)
 
     def build(dodo: bool) -> Platform:
-        sim = Simulator(seed=seed)
+        sim = Simulator(seed=seed, fastpath=fastpath)
         # The paper stores the matrix in 8 files; consecutive slabs live
         # in different files, so every slab read pays a seek.  We model
         # that striping as slab-granular extents scattered over the disk.

@@ -33,26 +33,26 @@ Flow-level fast path
 On the common lossless, uncontended configuration the packet-by-packet
 simulation spends all its wall-clock time proving that nothing interesting
 happened: no chunk is lost, no NACK fires, no engine is contended.  When a
-transfer's conditions make it analytically tractable — zero
-``frame_loss_prob`` on both endpoints, both NICs up, the receiver parked
-on its socket in the matching wait mode, and no competing bulk transfer or
-engine holder on either host — the sender computes the whole blast
-schedule in closed form from the same :class:`~repro.net.params.LinkParams`
-/ :class:`~repro.net.params.TransportParams` cost model the packet path
-uses, replaying the exact sequence of float additions the event loop would
-perform, and completes the transfer with O(1) simulator events instead of
-O(chunks).  The receiver gets one synthetic ``bulk_fast`` datagram at the
-exact virtual time it would have latched the transfer, sleeps to the exact
-completion time (scheduled with :meth:`Simulator.at` so no float drift
-creeps in), and returns the same bytes.
+transfer's conditions make it analytically tractable — the host pair
+cleared by :meth:`~repro.net.network.Network.fast_clear` (lossless, both
+NICs up and reachable, all four engines idle, no competing traffic), a
+lossless receiving endpoint, and the receiver parked on its socket in
+the matching wait mode — the sender computes the whole blast schedule in
+closed form from the same :meth:`~repro.net.network.Network.leg` deltas
+the packet path waits out, replaying the exact sequence of float
+additions the event loop would perform, and completes the transfer with
+O(1) simulator events instead of O(chunks).  The receiver gets one
+synthetic ``bulk_fast`` datagram at the exact virtual time it would have
+latched the transfer, sleeps to the exact completion time (scheduled
+with :meth:`Simulator.at` so no float drift creeps in), and returns the
+same bytes.
 
 The plan *validates* itself: any blast whose arrival would not strictly
 beat the receiver's NACK deadline, any ACK that would not strictly beat
 the sender's probe deadline, any blast that would overflow the receive
 buffer — and the planner refuses, falling back to the packet path.  Loss,
 contention, a missing or mismatched receiver, or a downed NIC likewise
-disengage it (``Network.inflight`` and the NIC engine states are
-consulted at engage time).  Mid-transfer host failures are caught by the
+disengage it at engage time.  Mid-transfer host failures are caught by the
 abort event armed on the transfer's :class:`~repro.net.network.BulkToken`:
 a NIC going down fires it, and both ends then emulate the packet path's
 retry-exhaustion failure.  See ``docs/PERFORMANCE.md``.
@@ -96,10 +96,6 @@ class BulkParams:
     #: how long the receiver lingers after completion to answer probes
     #: whose ACK was lost
     linger_s: float = 0.1
-    #: engage the flow-level fast path when a transfer qualifies (lossless,
-    #: uncontended, receiver ready); never changes simulated timing — only
-    #: how many events it takes to compute it
-    fastpath: bool = True
 
 
 DEFAULT_BULK = BulkParams()
@@ -152,69 +148,28 @@ class _FastPlan:
         self.nchunks = nchunks
 
 
-def _leg(link, p, size, frames, count, c0, f0, cl, fl):
-    """Exact event-time deltas for one datagram (or burst) leg.
-
-    Mirrors ``USocket._send_proc`` → ``Network._transmit`` →
-    ``Network._rx_side`` float for float: the same cost-model methods are
-    called with the same integer inputs, and the same intermediate sums
-    are formed in the same order, so accumulating these deltas reproduces
-    the packet path's event times bit-identically.
-
-    Returns ``(cpu_first, switch_first, hold_rx, tail)``: the sender
-    resumes ``cpu_first`` after initiating the send, and the datagram is
-    delivered ``cpu_first + switch_first + hold_rx + tail`` after it
-    (added one term at a time, exactly like the chained timeouts).
-    """
-    cpu_total = p.cpu_time(size, frames, count, p.send_overhead_s)
-    if count > 1:
-        cpu_first = min(cpu_total, p.cpu_time(c0, f0, 1, p.send_overhead_s))
-        residual = cpu_total - cpu_first
-    else:
-        cpu_first, residual = cpu_total, 0.0
-    wire = link.wire_time(size, frames)
-    hold = max(wire, residual)
-    switch_first = link.switch_latency_s + link.frame_time(
-        min(size, link.mtu_bytes - 28))
-    cpu_total_r = p.cpu_time(size, frames, count, p.recv_overhead_s)
-    if count > 1:
-        tail = min(cpu_total_r, p.cpu_time(cl, fl, 1, p.recv_overhead_s))
-        hold_rx = max(hold, cpu_total_r - tail)
-    else:
-        tail = cpu_total_r
-        hold_rx = hold
-    return cpu_first, switch_first, hold_rx, tail
-
-
 def _fast_clearance(sock: USocket, dst: tuple[str, int],
                     window: Optional[int],
                     params: BulkParams) -> Optional[USocket]:
     """Is this transfer analytically tractable *right now*?
 
     Returns the receiver's socket when every engage condition holds, None
-    to fall back to the packet path.  Conditions: lossless transport on
-    both ends, retry budget available, both NICs present and up with all
-    four serialization engines idle, no other registered bulk transfer
-    touching either host, clean socket queues on both ends, and a
-    receiver parked in ``recv_bulk`` on the destination socket in the
-    matching wait mode (pregranted windows must equal its recvbuf).
+    to fall back to the packet path.  Conditions: retry budget available,
+    clean socket queues on both ends, the host pair cleared by
+    :meth:`~repro.net.network.Network.fast_clear` (this transfer already
+    registered itself on both hosts, so it owns one registration each), a
+    lossless receiving endpoint, and a receiver parked in ``recv_bulk``
+    on the destination socket in the matching wait mode (pregranted
+    windows must equal its recvbuf).
     """
     ep = sock.endpoint
     net = ep.network
-    p = ep.params
-    if p.frame_loss_prob > 0.0 or params.max_attempts < 1:
+    if params.max_attempts < 1 or sock.closed or sock._queued_bytes \
+            or sock.recvbuf < CTRL_SIZE:
         return None
-    if net.extra_loss_prob > 0.0:
-        return None  # injected loss burst: the wire is not lossless
-    if sock.closed or sock._queued_bytes or sock.recvbuf < CTRL_SIZE:
+    if not net.fast_clear(ep.params, ep.addr, dst[0], 1):
         return None
-    src_nic = ep.nic
-    dst_nic = net.host_nic(dst[0])
-    if src_nic.down or dst_nic is None or dst_nic.down:
-        return None
-    if not net.reachable(ep.addr, dst[0]):
-        return None  # partitioned: packets would never arrive
-    dst_ep = dst_nic.endpoints.get(p.name)
+    dst_ep = net.nic(dst[0]).endpoints.get(ep.params.name)
     if dst_ep is None or dst_ep.params.frame_loss_prob > 0.0:
         return None
     dst_sock = dst_ep.socket_for_port(dst[1])
@@ -226,15 +181,6 @@ def _fast_clearance(sock: USocket, dst: tuple[str, int],
             return None
     elif mode != "pregranted" or window != dst_sock.recvbuf:
         return None
-    if not (src_nic.quiescent and dst_nic.quiescent):
-        return None
-    # This transfer already registered itself on both hosts, so a count
-    # above one means another bulk transfer or a fast-path datagram is
-    # in flight there (the datagram occupies an engine at a *future*
-    # instant this plan cannot see).
-    for host in {ep.addr, dst[0]}:
-        if net.inflight(host) != 1:
-            return None
     return dst_sock
 
 
@@ -246,6 +192,8 @@ def _plan_fast(sock: USocket, dst_sock: USocket, size: int,
     Walks the blast schedule blast by blast (O(blasts) float arithmetic,
     zero simulator events), accumulating absolute event times from
     ``sim.now`` with the exact additions the packet path would perform.
+    Every blast but the last carries ``per_blast`` full chunks, so two
+    :meth:`~repro.net.network.Network.leg` shapes cover the transfer.
     Refuses (returns None) whenever the lossless packet path would *not*
     be NACK/probe-free: a blast overflowing the receive buffer, an
     arrival not strictly beating the receiver's ack deadline, an ACK not
@@ -254,14 +202,14 @@ def _plan_fast(sock: USocket, dst_sock: USocket, size: int,
     heap, hence the strict comparisons.
     """
     ep = sock.endpoint
-    link = ep.network.link
+    net = ep.network
+    frames_for = net.link.frames_for
     p = ep.params
-    rp = dst_sock.endpoint.params
     chunk_size = p.max_payload
     nchunks = _nchunks_for(size, chunk_size)
     c_tail = size - (nchunks - 1) * chunk_size if size > 0 else 0
-    f_c = link.frames_for(chunk_size)
-    f_tail = link.frames_for(c_tail)
+    f_c = frames_for(chunk_size)
+    f_tail = frames_for(c_tail)
     pregranted = window is not None
     window_bytes = window if pregranted else dst_sock.recvbuf
     per_blast = max(1, window_bytes // max(chunk_size, 1))
@@ -271,66 +219,60 @@ def _plan_fast(sock: USocket, dst_sock: USocket, size: int,
     if r_ack_to is None:
         return None
 
-    f_ctrl = link.frames_for(CTRL_SIZE)
+    # n_full blasts of per_blast full chunks, then one of k chunks
+    n_full = (nchunks - 1) // per_blast
+    k = nchunks - n_full * per_blast
+    last_bytes = (k - 1) * chunk_size + c_tail
+    if last_bytes > recvbuf or n_full and per_blast * chunk_size > recvbuf:
+        return None
+    last = net.leg(p, last_bytes, (k - 1) * f_c + f_tail, k,
+                   chunk_size if k > 1 else c_tail, f_c if k > 1 else f_tail,
+                   c_tail, f_tail)
+    legs = [last]
+    if n_full:
+        full = net.leg(p, per_blast * chunk_size, per_blast * f_c,
+                       per_blast, chunk_size, f_c, chunk_size, f_c)
+        legs = [full] * n_full + legs
+
+    f_ctrl = frames_for(CTRL_SIZE)
     #: control legs: sender-initiated (offer/probe) use the sender's
     #: transport params, receiver-initiated (window/ack) the receiver's —
-    #: Network._rx_side charges receiver CPU with the *initiator's* params
-    ctrl_s = _leg(link, p, CTRL_SIZE, f_ctrl, 1, 0, 0, 0, 0)
-    ctrl_r = _leg(link, rp, CTRL_SIZE, f_ctrl, 1, 0, 0, 0, 0)
+    #: Network.leg charges receiver CPU with the *initiator's* params
+    s_cpu, _, s_switch, s_hold, s_tail = net.leg(p, CTRL_SIZE, f_ctrl)
+    r_cpu, _, r_switch, r_hold, r_tail = net.leg(
+        dst_sock.endpoint.params, CTRL_SIZE, f_ctrl)
 
     t = sock.sim.now
     t_latch = None
     r_wait_from = None  # when the receiver's current ack-timeout started
     if not pregranted:
         # offer (sender -> receiver), then window grant back
-        d_send = t + ctrl_s[0]
-        t_offer = ((d_send + ctrl_s[1]) + ctrl_s[2]) + ctrl_s[3]
+        d_send = t + s_cpu
+        t_offer = ((d_send + s_switch) + s_hold) + s_tail
         t_latch = t_offer
-        tr = t_offer + ctrl_r[0]
-        t_win = ((tr + ctrl_r[1]) + ctrl_r[2]) + ctrl_r[3]
+        tr = t_offer + r_cpu
+        t_win = ((tr + r_switch) + r_hold) + r_tail
         if not t_win < d_send + ack_to:
             return None
         t = t_win
         r_wait_from = tr
 
-    full_leg = None  # cached: every non-final blast has the same shape
     tr = None
-    blast_start = 0
-    while blast_start < nchunks:
-        k = min(per_blast, nchunks - blast_start)
-        if blast_start + k == nchunks:
-            blast_bytes = (k - 1) * chunk_size + c_tail
-            frames = (k - 1) * f_c + f_tail
-            c0 = chunk_size if k > 1 else c_tail
-            f0 = f_c if k > 1 else f_tail
-            leg = _leg(link, p, blast_bytes, frames, k, c0, f0,
-                       c_tail, f_tail)
-        else:
-            if full_leg is None:
-                blast_bytes = k * chunk_size
-                if blast_bytes > recvbuf:
-                    return None
-                full_leg = _leg(link, p, blast_bytes, k * f_c, k,
-                                chunk_size, f_c, chunk_size, f_c)
-            leg = full_leg
-            blast_bytes = k * chunk_size
-        if blast_bytes > recvbuf:
-            return None
-        d_send = t + leg[0]
-        arrival = ((d_send + leg[1]) + leg[2]) + leg[3]
+    for cpu, _, switch, rx_hold, tail in legs:
+        d_send = t + cpu
+        arrival = ((d_send + switch) + rx_hold) + tail
         if r_wait_from is not None and not arrival < r_wait_from + r_ack_to:
             return None
         if t_latch is None:
             t_latch = arrival
         # the receiver ACKs the completed blast and resumes after its
         # control-send CPU charge; the ACK lands back at the sender
-        tr = arrival + ctrl_r[0]
-        t_ack = ((tr + ctrl_r[1]) + ctrl_r[2]) + ctrl_r[3]
+        tr = arrival + r_cpu
+        t_ack = ((tr + r_switch) + r_hold) + r_tail
         if not t_ack < d_send + ack_to:
             return None
         t = t_ack
         r_wait_from = tr
-        blast_start += k
 
     deadline = dst_sock._bulk_wait_deadline
     if deadline is not None and not t_latch < deadline:
@@ -460,7 +402,7 @@ def _send_bulk(sock, dst, size, data, params, window, xfer, chunk_size,
     net = sock.endpoint.network
     token = net.bulk_begin(sock.endpoint.addr, dst[0])
     try:
-        if params.fastpath:
+        if sim.fastpath:
             # Zero-delay hop: lets a receiver spawned at this same instant
             # park on its socket before eligibility is judged (costs no
             # virtual time either way).
@@ -579,10 +521,8 @@ def recv_bulk(sock: USocket, first_timeout: Optional[float] = None,
     tracer = sim.tracer
     span = tracer.begin(sim, "bulk.recv", "net") \
         if tracer.enabled else None
-    # Advertise readiness so an eligible sender can engage the fast path;
-    # mode stays None when this receiver opted out of it.
-    if params.fastpath:
-        sock._bulk_wait_mode = "pregranted" if pregranted else "handshake"
+    # Advertise readiness so an eligible sender can engage the fast path.
+    sock._bulk_wait_mode = "pregranted" if pregranted else "handshake"
     sock._bulk_ack_timeout = params.ack_timeout_s
     sock._bulk_wait_deadline = None if first_timeout is None \
         else sim.now + first_timeout

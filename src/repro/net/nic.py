@@ -42,8 +42,7 @@ class NIC:
     def quiescent(self) -> bool:
         """Both serialization engines idle with empty wait queues — the
         state the flow-level fast paths require at engage time."""
-        tx, rx = self.tx, self.rx
-        return not (tx._in_use or rx._in_use or tx._waiters or rx._waiters)
+        return self.tx.idle and self.rx.idle
 
     @property
     def down(self) -> bool:

@@ -156,25 +156,22 @@ class USocket:
         return self.send(len(data), payload=data, dst=dst)
 
     def _send_proc(self, dgram: Datagram, params: TransportParams):
+        # The datagram's cost, computed once for the whole packet path.
         network = self.endpoint.network
-        frames = network.burst_frames(dgram)
-        cpu_total = params.cpu_time(dgram.size, frames, dgram.count,
-                                    params.send_overhead_s)
-        if dgram.is_burst and dgram.count > 1:
-            # A blast pipelines: the caller blocks only for the first
-            # chunk's processing; the rest of the CPU work overlaps the
-            # wire (it throttles the transmission if CPU is the
-            # bottleneck — see Network.transmit's min_hold).
-            first = dgram.chunks[0]
-            cpu_first = min(cpu_total, params.cpu_time(
-                first.size, network.frames_for(first.size), 1,
-                params.send_overhead_s))
-            residual = cpu_total - cpu_first
+        frames_for = network.link.frames_for
+        size = dgram.size
+        if dgram.is_burst:
+            chunks = dgram.chunks
+            frames = sum(frames_for(c.size) for c in chunks)
+            c0, cl = chunks[0].size, chunks[-1].size
+            leg = network.leg(params, size, frames, dgram.count,
+                              c0, frames_for(c0), cl, frames_for(cl))
         else:
-            cpu_first, residual = cpu_total, 0.0
-        yield self.sim.timeout(cpu_first)
-        network.transmit(dgram, params, min_hold=residual)
-        return dgram.size
+            frames = frames_for(size)
+            leg = network.leg(params, size, frames)
+        yield self.sim.timeout(leg[0])
+        network.transmit(dgram, params, frames, leg)
+        return size
 
     # -- receiving -----------------------------------------------------------------
     def recv(self, timeout: Optional[float] = None) -> Event:

@@ -4,18 +4,17 @@ See ``docs/OBSERVABILITY.md`` for the span taxonomy and workflows.  The
 usual entry points:
 
 * :class:`ObsSession` — build, install and restore the engines one run
-  asks for (the CLI's flags, ``repro record``/``whatif``/``chaos``).
-* :func:`install` / :class:`Tracer` — turn tracing on for subsequently
-  created simulators.
+  asks for (the CLI's flags, ``repro record``/``whatif``/``chaos``);
+  simulators built inside it take its :class:`Tracer`,
+  :class:`Telemetry` and :class:`EventLog`.
 * :func:`write_chrome_trace` — Perfetto-viewable trace-event JSON.
 * :func:`fetch_breakdown` / :func:`format_fetch_breakdown` — per-layer
   latency decomposition of ``mread``/``mwrite`` (the paper's Tables 3/4).
 * :func:`snapshot` / :func:`write_snapshot` — diffable per-run metrics.
-* :func:`install_telemetry` / :class:`Telemetry` — virtual-time sampling
-  of cluster state into typed time series (``--telemetry-out``,
-  ``repro top``).
-* :func:`install_eventlog` / :class:`EventLog` — structured lifecycle
-  events with levels and filtering (``--events-out``).
+* :class:`Telemetry` — virtual-time sampling of cluster state into typed
+  time series (``--telemetry-out``, ``repro top``).
+* :class:`EventLog` — structured lifecycle events with levels and
+  filtering (``--events-out``).
 * :class:`Auditor` — online cross-component invariant checking
   (``--audit warn|raise``).
 * :func:`render_dashboard` — the ``repro top`` ASCII view.
@@ -31,8 +30,7 @@ from repro.obs.breakdown import (COMPONENT_LAYER, LAYER_ORDER,
                                  fetch_breakdown, format_fetch_breakdown,
                                  layer_of)
 from repro.obs.dashboard import pick_run, render_dashboard, render_run
-from repro.obs.eventlog import NULL_EVENTLOG, EventLog, LogEvent, \
-    default_eventlog, install_eventlog
+from repro.obs.eventlog import NULL_EVENTLOG, EventLog, LogEvent
 from repro.obs.export import chrome_trace, dump_chrome_trace, \
     write_chrome_trace
 from repro.obs.files import atomic_write
@@ -43,9 +41,8 @@ from repro.obs.session import ObsSession
 from repro.obs.snapshot import dump_snapshot, group_name, merged_snapshot, \
     recorder_snapshot, snapshot, write_snapshot
 from repro.obs.timeseries import NULL_TELEMETRY, GaugeSeries, RunTelemetry, \
-    Telemetry, default_telemetry, install_telemetry
-from repro.obs.tracer import NULL_TRACER, Span, Tracer, default_tracer, \
-    install
+    Telemetry
+from repro.obs.tracer import NULL_TRACER, Span, Tracer
 
 __all__ = [
     "ActivityRow",
@@ -72,17 +69,11 @@ __all__ = [
     "build_fleet_view",
     "build_run_view",
     "chrome_trace",
-    "default_eventlog",
-    "default_telemetry",
-    "default_tracer",
     "dump_chrome_trace",
     "dump_snapshot",
     "fetch_breakdown",
     "format_fetch_breakdown",
     "group_name",
-    "install",
-    "install_eventlog",
-    "install_telemetry",
     "layer_of",
     "merged_snapshot",
     "pick_run",

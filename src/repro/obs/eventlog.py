@@ -7,12 +7,13 @@ bulk fast path engaging or falling back.  Events carry a level, a
 component, an optional host, and free-form (JSON-serializable) fields;
 per-component filtering and a level threshold keep the log focused.
 
-Like the tracer and telemetry engine, it is globally installed
-(:func:`install_eventlog`), off by default (:data:`NULL_EVENTLOG`), free
-when off (emit sites guard with ``sim.eventlog.enabled``), and strictly
-deterministic: an event's time is the virtual clock, its ordering is the
-emission order, and the JSONL export is byte-identical across seeded
-runs (enforced by ``tests/obs/test_telemetry_determinism.py``).
+Like the tracer and telemetry engine, it is installed by an
+:class:`~repro.obs.session.ObsSession`, off by default
+(:data:`NULL_EVENTLOG`), free when off (emit sites guard with
+``sim.eventlog.enabled``), and strictly deterministic: an event's time
+is the virtual clock, its ordering is the emission order, and the JSONL
+export is byte-identical across seeded runs (enforced by
+``tests/obs/test_telemetry_determinism.py``).
 """
 
 from __future__ import annotations
@@ -217,21 +218,3 @@ class _NullEventLog(EventLog):
 
 #: the default, disabled log every Simulator starts with
 NULL_EVENTLOG = _NullEventLog()
-
-_default: EventLog = NULL_EVENTLOG
-
-
-def install_eventlog(log: Optional[EventLog]) -> EventLog:
-    """Set the log handed to every *subsequently created* Simulator.
-    Pass None (or :data:`NULL_EVENTLOG`) to disable again.  Returns the
-    previously installed log."""
-    global _default
-    previous = _default
-    _default = log if log is not None else NULL_EVENTLOG
-    return previous
-
-
-def default_eventlog() -> EventLog:
-    """The currently installed log (:data:`NULL_EVENTLOG` unless a caller
-    opted in via :func:`install_eventlog`)."""
-    return _default

@@ -1,10 +1,11 @@
 """One observability session: build a run's engines, install, restore.
 
 Simulators take the tracer, telemetry engine and event log installed
-when they are created.  :class:`ObsSession` is the one place that
-builds those engines, wires them together, installs them and puts the
-previous ones back: the CLI's observability flags, ``repro
-record``/``serve``/``whatif`` and ``repro chaos`` all run through it.
+when they are created, from the one slot :func:`engines` reads.
+:class:`ObsSession` is the one place that builds those engines, wires
+them together, installs them and puts the previous ones back: the CLI's
+observability flags, ``repro record``/``serve``/``whatif`` and ``repro
+chaos`` all run through it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,19 @@ from typing import Optional
 
 from repro.metrics.recorder import collecting, start_collection, \
     stop_collection
-from repro.obs.eventlog import NULL_EVENTLOG, EventLog, default_eventlog, \
-    install_eventlog
-from repro.obs.timeseries import NULL_TELEMETRY, Telemetry, \
-    default_telemetry, install_telemetry
-from repro.obs.tracer import NULL_TRACER, Tracer, default_tracer, install
+from repro.obs.eventlog import NULL_EVENTLOG, EventLog
+from repro.obs.timeseries import NULL_TELEMETRY, Telemetry
+from repro.obs.tracer import NULL_TRACER, Tracer
+
+_NULL_ENGINES = (NULL_TRACER, NULL_TELEMETRY, NULL_EVENTLOG)
+#: the installed (tracer, telemetry, event log)
+_engines = _NULL_ENGINES
+
+
+def engines() -> tuple:
+    """The installed (tracer, telemetry engine, event log) a simulator
+    built now takes: the ``NULL_*`` ones outside every session."""
+    return _engines
 
 
 class ObsSession:
@@ -76,34 +85,33 @@ class ObsSession:
             telemetry.slo = self.slo
         self.collect = collect
         self.recorders: Optional[list] = None
-        self._restore: list = []
+        self._previous = None
 
     def __enter__(self) -> "ObsSession":
-        for engine, installer in ((self.tracer, install),
-                                  (self.telemetry, install_telemetry),
-                                  (self.eventlog, install_eventlog)):
-            if engine is not None:
-                self._restore.append((installer, installer(engine)))
+        global _engines
+        self._previous = _engines
+        _engines = tuple(
+            old if new is None else new for old, new in
+            zip(_engines, (self.tracer, self.telemetry, self.eventlog)))
         if self.collect:
             self.recorders = start_collection()
-            self._restore.append((stop_collection, self.recorders))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        global _engines
         try:
             if exc_type is None and self.telemetry is not None:
                 self.telemetry.finalize()
         finally:
-            while self._restore:
-                undo, previous = self._restore.pop()
-                undo(previous)
+            _engines = self._previous
+            if self.collect:
+                stop_collection(self.recorders)
 
 
 def observing() -> bool:
     """Whether a tracer, telemetry engine, event log or recorder
     collection is installed: what a worker process would fill in its
     own copy of the parent's memory, and lose."""
-    return (default_tracer() is not NULL_TRACER
-            or default_telemetry() is not NULL_TELEMETRY
-            or default_eventlog() is not NULL_EVENTLOG
+    return (any(engine is not null
+                for engine, null in zip(_engines, _NULL_ENGINES))
             or collecting())

@@ -343,12 +343,13 @@ class RunTelemetry:
 class Telemetry:
     """The sampling engine: one per traced *process run*, many simulators.
 
-    Install it like a tracer (:func:`install_telemetry`); every simulator
-    created afterwards carries it as ``sim.telemetry``, components
-    register themselves at construction, and a per-simulator sampling
-    process polls all registered probes every ``interval_s`` of virtual
-    time.  ``auditor`` (an :class:`~repro.obs.audit.Auditor`) is invoked
-    at every ``audit_every``-th sample point and at :meth:`finalize`.
+    Install it like a tracer (:class:`~repro.obs.session.ObsSession`);
+    every simulator created inside the session carries it as
+    ``sim.telemetry``, components register themselves at construction,
+    and a per-simulator sampling process polls all registered probes
+    every ``interval_s`` of virtual time.  ``auditor`` (an
+    :class:`~repro.obs.audit.Auditor`) is invoked at every
+    ``audit_every``-th sample point and at :meth:`finalize`.
     """
 
     def __init__(self, interval_s: float = 1.0,
@@ -540,23 +541,3 @@ class _NullTelemetry(Telemetry):
 
 #: the default, disabled engine every Simulator starts with
 NULL_TELEMETRY = _NullTelemetry()
-
-_default: Telemetry = NULL_TELEMETRY
-
-
-def install_telemetry(telemetry: Optional[Telemetry]) -> Telemetry:
-    """Set the engine handed to every *subsequently created* Simulator.
-
-    Pass None (or :data:`NULL_TELEMETRY`) to disable again.  Returns the
-    previously installed engine so callers can restore it.
-    """
-    global _default
-    previous = _default
-    _default = telemetry if telemetry is not None else NULL_TELEMETRY
-    return previous
-
-
-def default_telemetry() -> Telemetry:
-    """The currently installed engine (:data:`NULL_TELEMETRY` unless a
-    caller opted in via :func:`install_telemetry`)."""
-    return _default

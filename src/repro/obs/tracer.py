@@ -15,8 +15,9 @@ free-form tags, and causal links.  Causality comes from two sources:
 Tracing must cost ~nothing when off: components hold a reference to the
 simulator's tracer and guard every call with ``tracer.enabled`` (a plain
 attribute read).  The default tracer is the shared :data:`NULL_TRACER`
-whose ``enabled`` is False; :func:`install` swaps in a live tracer for
-simulators created afterwards (the CLI's ``--trace-out`` does this).
+whose ``enabled`` is False; an :class:`~repro.obs.session.ObsSession`
+installs a live tracer for simulators created inside it (the CLI's
+``--trace-out`` does this).
 
 The tracer is deliberately ignorant of wall-clock time and of any other
 nondeterministic input, so a traced run of a seeded experiment produces
@@ -186,23 +187,3 @@ class _NullTracer(Tracer):
 
 #: the default, disabled tracer every Simulator starts with
 NULL_TRACER = _NullTracer()
-
-_default: Tracer = NULL_TRACER
-
-
-def install(tracer: Optional[Tracer]) -> Tracer:
-    """Set the tracer handed to every *subsequently created* Simulator.
-
-    Pass None (or :data:`NULL_TRACER`) to disable tracing again.
-    Returns the previously installed tracer so callers can restore it.
-    """
-    global _default
-    previous = _default
-    _default = tracer if tracer is not None else NULL_TRACER
-    return previous
-
-
-def default_tracer() -> Tracer:
-    """The currently installed tracer (:data:`NULL_TRACER` unless a
-    caller opted in via :func:`install`)."""
-    return _default

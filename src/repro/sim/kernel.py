@@ -39,9 +39,7 @@ from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Iterable, Optional
 
-from repro.obs.eventlog import default_eventlog
-from repro.obs.timeseries import default_telemetry
-from repro.obs.tracer import default_tracer
+from repro.obs.session import engines
 from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.rng import RngRegistry
 
@@ -162,6 +160,11 @@ class Simulator:
         Master seed for :class:`~repro.sim.rng.RngRegistry`.  Every
         component derives an independent, named stream from it so that
         adding a component never perturbs another's random sequence.
+    fastpath:
+        Let the flow-level fast paths (bulk transfers, single datagrams,
+        disk batches; docs/PERFORMANCE.md) engage.  Simulated behaviour
+        is identical either way; False carries every transfer, datagram
+        and disk request event by event.
     """
 
     # Slots turn the many instance-attribute reads per dispatched event
@@ -171,10 +174,10 @@ class Simulator:
                  "_nbuckets", "_mask", "_buckets", "_width", "_inv_width",
                  "_qcount", "_day", "_tpool", "rng", "events_processed",
                  "tracer", "telemetry", "eventlog", "_trace_kernel",
-                 "active_process", "_pid_counter", "_bulk_xfer_ids",
-                 "__weakref__")
+                 "fastpath", "active_process", "_pid_counter",
+                 "_bulk_xfer_ids", "__weakref__")
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, fastpath: bool = True):
         self._now: float = 0.0
         self._counter: int = 0
         # -- ladder queue --------------------------------------------------
@@ -201,14 +204,12 @@ class Simulator:
         self.rng = RngRegistry(seed)
         #: number of events processed so far (exposed for perf reporting)
         self.events_processed: int = 0
-        #: the observability tracer; the shared NULL_TRACER unless one
-        #: was installed (repro.obs.install) before this sim was built.
-        #: Instrumentation guards every use with ``tracer.enabled``.
-        self.tracer = default_tracer()
-        #: the telemetry engine and event log, same install pattern as
-        #: the tracer (NULL_* unless opted in before construction)
-        self.telemetry = default_telemetry()
-        self.eventlog = default_eventlog()
+        #: the observability engines installed when this sim was built
+        #: (repro.obs.ObsSession); the shared NULL_* ones otherwise.
+        #: Instrumentation guards every use with ``.enabled``.
+        self.tracer, self.telemetry, self.eventlog = engines()
+        #: the one switch of the bulk, datagram and disk fast paths
+        self.fastpath: bool = fastpath
         #: cached ``tracer.enabled and tracer.kernel_events`` (refreshed at
         #: every run() entry) so the per-resume check is one attribute read
         self._trace_kernel: bool = (

@@ -44,6 +44,22 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
+    @property
+    def idle(self) -> bool:
+        """True when :meth:`try_acquire` would take a unit now: one is
+        free and the wait queue is empty (a queue holding only cancelled
+        waiters still counts as busy)."""
+        return self._in_use < self.capacity and not self._waiters
+
+    def try_acquire(self) -> bool:
+        """Take a unit now if :attr:`idle`, without an event; returns
+        whether it was taken.  Give it back with :meth:`release`.  The
+        fast paths reserve an engine or the disk arm this way."""
+        if self.idle:
+            self._in_use += 1
+            return True
+        return False
+
     def acquire(self) -> Event:
         """Event that fires once a unit of the resource is granted."""
         evt = Event(self.sim)

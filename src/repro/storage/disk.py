@@ -73,10 +73,6 @@ class Disk:
         #: fault-injection hook: service times are multiplied by this
         #: (1.0 = healthy; the nemesis raises it to model a degraded disk)
         self.slowdown: float = 1.0
-        #: engage the flow-level fast path for uncontended requests
-        #: (timing-identical; False forces every request through the
-        #: per-request process path)
-        self.fastpath: bool = True
         self.stats = Recorder(name)
         if sim.telemetry.enabled:
             sim.telemetry.register(sim, "disk", name, self)
@@ -132,19 +128,20 @@ class Disk:
     def _access(self, runs, write: bool):
         """Route a batch to the fast path or the per-request processes.
 
-        The fast path engages only when it is provably timing-identical:
-        the arm idle with no queued waiters (so service starts now), the
-        tracer off (the process path emits per-request spans) and every
-        run already valid (invalid ones must raise through a process,
-        as they always have).
+        The fast path engages only when the simulator's fast paths are on
+        and it is provably timing-identical: the tracer off (the process
+        path emits per-request spans), every run already valid (invalid
+        ones must raise through a process, as they always have) and the
+        arm idle with no queued waiters (so service starts now); the arm
+        is taken last, once the other checks passed.
         """
-        arm = self.arm
+        sim = self.sim
         cap = self.params.capacity_bytes
-        if (self.fastpath and runs and not arm._in_use and not arm._waiters
-                and not self.sim.tracer.enabled
-                and all(n > 0 and 0 <= o and o + n <= cap for o, n in runs)):
+        if (sim.fastpath and runs and not sim.tracer.enabled
+                and all(n > 0 and 0 <= o and o + n <= cap for o, n in runs)
+                and self.arm.try_acquire()):
             return self._fast_access(runs, write)
-        return self.sim.process(self._batch_io(runs, write))
+        return sim.process(self._batch_io(runs, write))
 
     def _batch_io(self, runs, write: bool):
         """Per-request process path for a whole batch; value = total."""
@@ -163,9 +160,9 @@ class Disk:
         (head position, stats) happens at the same virtual time the
         process path would perform it.  If another request queues on the
         arm mid-batch, the remaining runs fall back to the per-request
-        path so the waiter is granted the arm between members.
+        path so the waiter is granted the arm between members.  The
+        caller holds the arm already.
         """
-        self.arm._in_use += 1
         batch = _FastBatch(self, runs, write)
         self.stats.add("fastpath.batches")
         batch.start_next()
@@ -254,7 +251,7 @@ class _FastBatch:
         self.index += 1
         self.total += self.service
         last = self.index >= len(self.runs)
-        contended = not last and bool(arm._waiters)
+        contended = not last and bool(arm.queue_length)
         if last or contended:
             arm.release()
         stats = disk.stats

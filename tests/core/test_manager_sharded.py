@@ -177,15 +177,11 @@ def test_backup_has_its_own_telemetry_identity(scenario):
     failover the promoted backup takes over the ``manager`` series and
     its replacement the ``manager_backup`` one; the crashed primary
     stops sampling."""
-    from repro.obs.timeseries import Telemetry, install_telemetry
+    from repro.obs.session import ObsSession
 
-    telemetry = Telemetry(interval_s=0.5)
-    previous = install_telemetry(telemetry)
-    try:
+    with ObsSession(interval_s=0.5) as obs:
         crashes = scenario()
-    finally:
-        install_telemetry(previous)
-    run = telemetry.runs()[0]
+    run = obs.telemetry.runs()[0]
     for (kind, name, gauge), series in run.series.items():
         if kind.startswith("manager"):
             assert len(series.times) == len(set(series.times)), \

@@ -261,17 +261,14 @@ def test_nemesis_counts_and_audits_every_injection(sim):
 
 
 def test_nemesis_logs_every_injection_and_heal(sim):
-    from repro.obs.eventlog import EventLog, install_eventlog
-    log = EventLog(level="debug")
-    previous = install_eventlog(log)
-    try:
+    from repro.obs.session import ObsSession
+    with ObsSession(events="debug") as obs:
         local = Simulator(seed=17)
         make_platform(local, faults=plan_of(
             FaultSpec(time=1.0, kind="host_crash", target="mem00",
                       duration_s=1.0)))
         local.run(until=3.0)
-    finally:
-        install_eventlog(previous)
+    log = obs.eventlog
     assert len(log.select("nemesis", "inject.host_crash")) == 1
     assert len(log.select("nemesis", "heal.host_crash")) == 1
     # the crash itself also leaves its own component-level trail

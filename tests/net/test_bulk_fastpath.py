@@ -33,12 +33,12 @@ def run_transfer(fastpath, size, transport="udp", data=None, loss=0.0,
     the fabric (nemesis-style); ``start_at`` delays the transfer itself
     so it can begin before, during, or after a fault window.
     """
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, fastpath=fastpath)
     net = make_net(sim, loss=loss)
     eps = net.udp if transport == "udp" else net.unet
     tx = eps["alpha"].socket()
     rx = eps["beta"].socket(port=77, recvbuf=recvbuf)
-    params = bulk_params or BulkParams(fastpath=fastpath)
+    params = bulk_params or BulkParams()
     out = {}
 
     if pregranted and window is None:
@@ -198,7 +198,7 @@ def test_fallback_when_receiver_absent():
     sim = Simulator()
     net = make_net(sim)
     tx = net.udp["alpha"].socket()
-    params = BulkParams(ack_timeout_s=0.01, max_attempts=3, fastpath=True)
+    params = BulkParams(ack_timeout_s=0.01, max_attempts=3)
 
     def sender():
         yield sim.process(send_bulk(tx, ("beta", 99), 1000, params=params))
@@ -213,9 +213,9 @@ def test_fallback_under_receiver_contention():
     """Two simultaneous transfers into one host: neither may engage (the
     closed form cannot model their interleaving on the RX engine)."""
     def run(fastpath):
-        sim = Simulator(seed=5)
+        sim = Simulator(seed=5, fastpath=fastpath)
         net = make_net(sim, hosts=("alpha", "beta", "gamma"))
-        params = BulkParams(fastpath=fastpath)
+        params = BulkParams()
         size = 400_000
         socks = {
             "alpha": net.udp["alpha"].socket(),
@@ -325,17 +325,14 @@ def test_midtransfer_nic_flap_differential():
     cannot survive a downed NIC), the packet path rides it out via NACK
     retries — and whichever completes must deliver identical bytes."""
     data = bytes(i % 249 for i in range(2_000_000))
-    recover = BulkParams(fastpath=False, ack_timeout_s=0.05,
-                         max_attempts=20)
+    recover = BulkParams(ack_timeout_s=0.05, max_attempts=20)
     pkt = run_transfer(False, len(data), data=data, nic_down_at=0.05,
                        nic_up_at=0.12, bulk_params=recover)
     assert pkt["received"][0] == data, "packet path should ride out a flap"
 
     fast = run_transfer(True, len(data), data=data, nic_down_at=0.05,
                         nic_up_at=0.12,
-                        bulk_params=BulkParams(fastpath=True,
-                                               ack_timeout_s=0.05,
-                                               max_attempts=20))
+                        bulk_params=recover)
     assert fast["fast_transfers"] == 1
     assert fast["fast_aborts"] >= 1
     # loud failure, never silent corruption
@@ -358,13 +355,12 @@ def test_partition_prevents_fastpath_and_heal_restores_it():
     closed form would teleport bytes across the cut); healing restores
     engagement."""
     def run_with_cut(fastpath, heal_at=None, start_at=0.0):
-        sim = Simulator(seed=21)
+        sim = Simulator(seed=21, fastpath=fastpath)
         net = make_net(sim)
         net.network.set_partition([["alpha"], ["beta"]])
         tx = net.udp["alpha"].socket()
         rx = net.udp["beta"].socket(port=77, recvbuf=256 * 1024)
-        params = BulkParams(fastpath=fastpath, ack_timeout_s=0.02,
-                            max_attempts=3)
+        params = BulkParams(ack_timeout_s=0.02, max_attempts=3)
         out = {}
 
         if heal_at is not None:

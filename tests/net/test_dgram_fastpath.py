@@ -37,7 +37,7 @@ def run_dgrams(fastpath, sizes, transport="udp", loss=0.0, seed=1234,
     """
     sim = Simulator(seed=seed)
     net = make_net(sim, hosts=hosts, loss=loss)
-    net.network.dgram_fastpath = fastpath
+    sim.fastpath = fastpath
     eps = net.udp if transport == "udp" else net.unet
     tx = eps["alpha"].socket()
     rx = eps["beta"].socket(port=77)
@@ -167,7 +167,7 @@ def run_rpc(fastpath, n_calls=5, seed=7, arg_size=256):
     """An RPC client/server pair; returns per-call completion times."""
     sim = Simulator(seed=seed)
     net = make_net(sim)
-    net.network.dgram_fastpath = fastpath
+    sim.fastpath = fastpath
     server_sock = net.udp["beta"].socket(port=90)
     RpcServer(server_sock, {
         "echo": lambda args, src: {"echo": args.get("x")},
@@ -297,7 +297,7 @@ def test_registered_bulk_transfer_blocks_dgram_engagement():
 
     sim = Simulator(seed=17)
     net = make_net(sim, hosts=("alpha", "beta", "gamma"))
-    params = BulkParams(fastpath=True)
+    params = BulkParams()
     btx = net.udp["alpha"].socket()
     brx = net.udp["beta"].socket(port=71, recvbuf=256 * 1024)
     dtx = net.udp["gamma"].socket()
@@ -340,7 +340,7 @@ def test_inflight_dgram_blocks_bulk_engagement():
 
     sim = Simulator(seed=23)
     net = make_net(sim, hosts=("alpha", "beta", "gamma"))
-    params = BulkParams(fastpath=True)
+    params = BulkParams()
     dtx = net.udp["gamma"].socket()
     drx = net.udp["beta"].socket(port=72)
     btx = net.udp["alpha"].socket()

@@ -14,8 +14,8 @@ blame, outcomes and latency sketches as its packet/process equivalent:
 """
 
 from repro.net import BulkParams, RpcClient, RpcServer, recv_bulk, send_bulk
+from repro.obs.session import ObsSession
 from repro.obs.slo import SliCollector, attach_sli
-from repro.obs.tracer import Tracer, install
 from repro.sim import Simulator
 from repro.storage.disk import Disk
 from repro.testing import make_net
@@ -37,14 +37,10 @@ def sli_fingerprint(sli):
 
 def traced(run_fn, *args, **kwargs):
     """Run ``run_fn`` under a fresh tracer + SLI collector."""
-    tracer = Tracer()
     sli = SliCollector()
-    attach_sli(tracer, sli)
-    prev = install(tracer)
-    try:
+    with ObsSession(trace=True) as obs:
+        attach_sli(obs.tracer, sli)
         extra = run_fn(*args, **kwargs)
-    finally:
-        install(prev)
     return sli_fingerprint(sli), extra
 
 
@@ -53,11 +49,11 @@ def traced(run_fn, *args, **kwargs):
 # ---------------------------------------------------------------------------
 
 def run_bulk(fastpath, size=300_000, seed=7):
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, fastpath=fastpath)
     net = make_net(sim)
     tx = net.udp["alpha"].socket()
     rx = net.udp["beta"].socket(port=77, recvbuf=256 * 1024)
-    params = BulkParams(fastpath=fastpath)
+    params = BulkParams()
 
     def sender():
         yield sim.process(send_bulk(tx, ("beta", 77), size,
@@ -97,7 +93,7 @@ def test_bulk_fastpath_attribution_identical_across_sizes():
 def run_rpc(fastpath, n_calls=5, seed=7):
     sim = Simulator(seed=seed)
     net = make_net(sim)
-    net.network.dgram_fastpath = fastpath
+    sim.fastpath = fastpath
     server_sock = net.udp["beta"].socket(port=90)
     RpcServer(server_sock, {
         "echo": lambda args, src: {"echo": args.get("x")},
@@ -139,7 +135,7 @@ def test_dgram_fastpath_attribution_identical_across_seeds():
 def run_disk(fastpath, seed=5):
     sim = Simulator(seed=seed)
     disk = Disk(sim, "d0")
-    disk.fastpath = fastpath
+    sim.fastpath = fastpath
     tracer = sim.tracer
 
     def workload():

@@ -9,34 +9,16 @@ directions.  Mirrors ``tests/obs/test_telemetry_determinism.py``.
 """
 
 from repro.exp.platform import MB, Platform, PlatformParams
-from repro.obs.eventlog import NULL_EVENTLOG, EventLog, install_eventlog
-from repro.obs.slo import SliCollector, SloEngine, attach_sli
-from repro.obs.timeseries import (NULL_TELEMETRY, Telemetry,
-                                  install_telemetry)
-from repro.obs.tracer import NULL_TRACER, Tracer, install
+from repro.obs.session import ObsSession
 from repro.sim import Simulator
 from repro.workloads import SyntheticParams, SyntheticRunner
 
 
 def run_workload(seed, slo):
     """One small Dodo workload; returns (fingerprint, sli, engine)."""
-    if slo:
-        tracer = Tracer()
-        telemetry = Telemetry(interval_s=0.25)
-        eventlog = EventLog(level="debug", telemetry=telemetry)
-        sli = SliCollector()
-        attach_sli(tracer, sli)
-        engine = SloEngine(sli=sli, eventlog=eventlog)
-        sli.engine = engine
-        telemetry.slo = engine
-    else:
-        tracer, telemetry, eventlog = NULL_TRACER, NULL_TELEMETRY, \
-            NULL_EVENTLOG
-        sli = engine = None
-    prev_tr = install(tracer)
-    prev_t = install_telemetry(telemetry)
-    prev_e = install_eventlog(eventlog)
-    try:
+    session = ObsSession(interval_s=0.25, events="debug", slo=True) \
+        if slo else ObsSession()
+    with session:
         sim = Simulator(seed=seed)
         params = PlatformParams().scaled(1 / 256)
         platform = Platform(sim, params, dodo=True)
@@ -44,12 +26,8 @@ def run_workload(seed, slo):
                              req_size=8192, num_iter=2, compute_s=0.002)
         runner = SyntheticRunner(platform, sp, use_dodo=True)
         res = sim.run(until=runner.run())
-        telemetry.finalize()
-    finally:
-        install(prev_tr)
-        install_telemetry(prev_t)
-        install_eventlog(prev_e)
-    return (res.elapsed_s, tuple(res.iteration_s), sim.now), sli, engine
+    fingerprint = (res.elapsed_s, tuple(res.iteration_s), sim.now)
+    return fingerprint, session.sli, session.slo
 
 
 def test_sli_slo_collection_does_not_perturb_virtual_time():

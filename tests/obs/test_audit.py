@@ -14,7 +14,7 @@ import pytest
 from repro.core.allocator import BuddyAllocator, FirstFitAllocator
 from repro.obs.audit import AuditError, Auditor
 from repro.obs.eventlog import EventLog
-from repro.obs.timeseries import Telemetry, install_telemetry
+from repro.obs.session import ObsSession
 from repro.sim import Simulator
 
 from repro.testing import make_backing_file, make_platform, run
@@ -52,16 +52,10 @@ def test_clean_platform_audits_clean(sim):
 
 def test_clean_fig7_smoke_audits_clean():
     from repro.exp.fig7 import run_lu
-    auditor = Auditor(mode="raise")
-    telemetry = Telemetry(interval_s=0.5, auditor=auditor)
-    previous = install_telemetry(telemetry)
-    try:
+    with ObsSession(interval_s=0.5, audit="raise", sample_audit=True) as obs:
         results = run_lu("udp", scale=1 / 256)
-        telemetry.finalize()
-    finally:
-        install_telemetry(previous)
     assert results["speedup"] > 1.0
-    assert auditor.passes > 0 and auditor.findings == []
+    assert obs.auditor.passes > 0 and obs.auditor.findings == []
 
 
 # -- corruption detection ----------------------------------------------------

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from repro.obs.eventlog import (LEVELS, NULL_EVENTLOG, EventLog,
-                                default_eventlog, install_eventlog)
+from repro.obs.eventlog import LEVELS, NULL_EVENTLOG, EventLog
+from repro.obs.session import ObsSession, engines
 from repro.sim import Simulator
 
 
@@ -126,13 +126,11 @@ def test_null_eventlog_is_inert(sim):
 
 
 def test_install_restores_previous():
-    log = EventLog()
-    previous = install_eventlog(log)
-    try:
-        assert default_eventlog() is log
-    finally:
-        install_eventlog(previous)
-    assert default_eventlog() is previous
+    with ObsSession(events="info") as obs:
+        assert engines()[2] is obs.eventlog
+        assert Simulator().eventlog is obs.eventlog
+    assert engines()[2] is NULL_EVENTLOG
+    assert Simulator().eventlog is NULL_EVENTLOG
 
 
 def test_level_table_is_ordered():

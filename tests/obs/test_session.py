@@ -13,35 +13,25 @@ import pytest
 from repro.cli import main
 from repro.metrics.recorder import collecting
 from repro.obs.audit import AuditError, Auditor
-from repro.obs.eventlog import NULL_EVENTLOG, EventLog, default_eventlog, \
-    install_eventlog
-from repro.obs.session import ObsSession, observing
-from repro.obs.timeseries import NULL_TELEMETRY, Telemetry, \
-    default_telemetry, install_telemetry
-from repro.obs.tracer import NULL_TRACER, Tracer, default_tracer, install
-
-
-def _installed():
-    return default_tracer(), default_telemetry(), default_eventlog()
+from repro.obs.eventlog import NULL_EVENTLOG, EventLog
+from repro.obs.session import ObsSession, engines, observing
+from repro.obs.timeseries import NULL_TELEMETRY, Telemetry
+from repro.obs.tracer import NULL_TRACER
+from repro.sim import Simulator
 
 
 @pytest.fixture
 def previous():
-    """Install a tracer, telemetry engine and event log for the test
-    and put the null engines back afterwards, whatever happens."""
-    engines = (Tracer(), Telemetry(), EventLog())
-    install(engines[0])
-    install_telemetry(engines[1])
-    install_eventlog(engines[2])
-    yield engines
-    install(None)
-    install_telemetry(None)
-    install_eventlog(None)
+    """Run the test inside a session that installed a tracer, telemetry
+    engine and event log; the null engines come back afterwards,
+    whatever happens."""
+    with ObsSession(trace=True, interval_s=1.0, events="info") as outer:
+        yield outer.tracer, outer.telemetry, outer.eventlog
 
 
 def test_nothing_asked_builds_and_installs_nothing():
     with ObsSession() as obs:
-        assert _installed() == (NULL_TRACER, NULL_TELEMETRY, NULL_EVENTLOG)
+        assert engines() == (NULL_TRACER, NULL_TELEMETRY, NULL_EVENTLOG)
         assert not observing()
     assert (obs.tracer, obs.telemetry, obs.eventlog, obs.auditor,
             obs.sli, obs.slo, obs.recorders) == (None,) * 7
@@ -49,17 +39,17 @@ def test_nothing_asked_builds_and_installs_nothing():
 
 def test_installs_only_the_engines_asked_for():
     with ObsSession(events="info", audit="warn") as obs:
-        assert _installed() == (NULL_TRACER, NULL_TELEMETRY, obs.eventlog)
+        assert engines() == (NULL_TRACER, NULL_TELEMETRY, obs.eventlog)
         assert obs.eventlog.level == "info"
         assert obs.auditor.eventlog is obs.eventlog
         assert obs.tracer is None and obs.telemetry is None
         assert not collecting()
     with ObsSession(trace=True, kernel_events=True) as obs:
-        assert _installed() == (obs.tracer, NULL_TELEMETRY, NULL_EVENTLOG)
+        assert engines() == (obs.tracer, NULL_TELEMETRY, NULL_EVENTLOG)
         assert obs.tracer.kernel_events
         assert obs.auditor is None and obs.sli is None
     with ObsSession(collect=True) as obs:
-        assert _installed() == (NULL_TRACER, NULL_TELEMETRY, NULL_EVENTLOG)
+        assert engines() == (NULL_TRACER, NULL_TELEMETRY, NULL_EVENTLOG)
         assert collecting() and observing()
     assert not collecting() and obs.recorders == []
 
@@ -84,7 +74,7 @@ def test_prebuilt_engines_are_installed_as_given():
     eventlog = EventLog(level="debug", telemetry=telemetry)
     with ObsSession(interval_s=9.0, telemetry=telemetry, events="error",
                     eventlog=eventlog) as obs:
-        assert _installed() == (NULL_TRACER, telemetry, eventlog)
+        assert engines() == (NULL_TRACER, telemetry, eventlog)
     assert obs.telemetry is telemetry and obs.eventlog is eventlog
 
 
@@ -98,10 +88,21 @@ def test_slo_and_sample_audits_need_telemetry():
 def test_restores_previous_engines_on_normal_exit(previous):
     with ObsSession(trace=True, interval_s=1.0, events="info",
                     collect=True) as obs:
-        assert _installed() == (obs.tracer, obs.telemetry, obs.eventlog)
+        assert engines() == (obs.tracer, obs.telemetry, obs.eventlog)
         assert collecting()
-    assert _installed() == previous
+    assert engines() == previous
     assert not collecting()
+
+
+def test_simulators_take_the_installed_engines():
+    """The kernel takes all three engines from the one slot."""
+    with ObsSession(trace=True, interval_s=1.0, events="info") as obs:
+        sim = Simulator()
+    assert (sim.tracer, sim.telemetry, sim.eventlog) == \
+        (obs.tracer, obs.telemetry, obs.eventlog)
+    sim = Simulator()
+    assert (sim.tracer, sim.telemetry, sim.eventlog) == \
+        (NULL_TRACER, NULL_TELEMETRY, NULL_EVENTLOG)
 
 
 def test_restores_previous_engines_when_the_body_raises(previous):
@@ -109,7 +110,7 @@ def test_restores_previous_engines_when_the_body_raises(previous):
         with ObsSession(trace=True, interval_s=1.0, events="info",
                         collect=True):
             raise RuntimeError("boom")
-    assert _installed() == previous
+    assert engines() == previous
     assert not collecting()
 
 
@@ -129,13 +130,13 @@ def test_finalizes_telemetry_only_on_normal_exit(monkeypatch):
 def test_nested_sessions_restore_in_lifo_order():
     with ObsSession(trace=True, events="info") as outer:
         with ObsSession(trace=True, interval_s=1.0, collect=True) as inner:
-            assert _installed() == (inner.tracer, inner.telemetry,
+            assert engines() == (inner.tracer, inner.telemetry,
                                     outer.eventlog)
             assert collecting()
-        assert _installed() == (outer.tracer, NULL_TELEMETRY,
+        assert engines() == (outer.tracer, NULL_TELEMETRY,
                                 outer.eventlog)
         assert not collecting()
-    assert _installed() == (NULL_TRACER, NULL_TELEMETRY, NULL_EVENTLOG)
+    assert engines() == (NULL_TRACER, NULL_TELEMETRY, NULL_EVENTLOG)
 
 
 # -- through the CLI ----------------------------------------------------------
@@ -146,7 +147,7 @@ def test_cli_restores_engines_after_a_cli_error(previous, tmp_path, capsys):
                  "--jobs", "2", "--metrics-out",
                  str(tmp_path / "m.json")]) == 2
     assert capsys.readouterr().err.startswith("repro: cannot fan out")
-    assert _installed() == previous
+    assert engines() == previous
     assert not collecting()
 
 
@@ -159,7 +160,7 @@ def test_cli_restores_engines_after_an_audit_error(previous, tmp_path,
     with pytest.raises(AuditError):
         main(["disk", "--audit", "raise",
               "--metrics-out", str(tmp_path / "m.json")])
-    assert _installed() == previous
+    assert engines() == previous
     assert not collecting()
     assert not (tmp_path / "m.json").exists()
 
@@ -182,5 +183,5 @@ def test_main_leaves_the_null_engines_installed(argv, tmp_path,
     monkeypatch.chdir(tmp_path)
     assert main(argv) in (0, 2)
     capsys.readouterr()
-    assert _installed() == (NULL_TRACER, NULL_TELEMETRY, NULL_EVENTLOG)
+    assert engines() == (NULL_TRACER, NULL_TELEMETRY, NULL_EVENTLOG)
     assert not observing()

@@ -15,21 +15,17 @@ import io
 import pytest
 
 from repro.exp.platform import MB, Platform, PlatformParams
-from repro.obs.eventlog import NULL_EVENTLOG, EventLog, install_eventlog
-from repro.obs.timeseries import NULL_TELEMETRY, Telemetry, install_telemetry
+from repro.obs.eventlog import NULL_EVENTLOG
+from repro.obs.session import ObsSession
+from repro.obs.timeseries import NULL_TELEMETRY
 from repro.sim import Simulator
 from repro.workloads import SyntheticParams, SyntheticRunner
 
 
 def run_workload(seed, telemetered, interval_s=0.25):
-    if telemetered:
-        telemetry = Telemetry(interval_s=interval_s)
-        eventlog = EventLog(level="debug", telemetry=telemetry)
-    else:
-        telemetry, eventlog = NULL_TELEMETRY, NULL_EVENTLOG
-    prev_t = install_telemetry(telemetry)
-    prev_e = install_eventlog(eventlog)
-    try:
+    session = ObsSession(interval_s=interval_s, events="debug") \
+        if telemetered else ObsSession()
+    with session:
         sim = Simulator(seed=seed)
         params = PlatformParams().scaled(1 / 256)
         platform = Platform(sim, params, dodo=True)
@@ -37,12 +33,10 @@ def run_workload(seed, telemetered, interval_s=0.25):
                              req_size=8192, num_iter=2, compute_s=0.002)
         runner = SyntheticRunner(platform, sp, use_dodo=True)
         res = sim.run(until=runner.run())
-        telemetry.finalize()
-    finally:
-        install_telemetry(prev_t)
-        install_eventlog(prev_e)
     fingerprint = (res.elapsed_s, tuple(res.iteration_s), sim.now)
-    return fingerprint, telemetry, eventlog
+    if not telemetered:
+        return fingerprint, NULL_TELEMETRY, NULL_EVENTLOG
+    return fingerprint, session.telemetry, session.eventlog
 
 
 def csv_bytes(telemetry):

@@ -6,9 +6,10 @@ import pytest
 
 from repro.obs.dashboard import pick_run, render_dashboard, render_run
 from repro.obs.files import atomic_write
+from repro.obs.session import ObsSession, engines
 from repro.obs.timeseries import (NULL_TELEMETRY, GaugeSeries, RunTelemetry,
-                                  Telemetry, default_telemetry,
-                                  install_telemetry)
+                                  Telemetry)
+from repro.sim import Simulator
 
 
 # -- GaugeSeries --------------------------------------------------------------
@@ -105,13 +106,11 @@ def test_null_telemetry_is_inert():
 
 
 def test_install_restores_previous():
-    engine = Telemetry()
-    previous = install_telemetry(engine)
-    try:
-        assert default_telemetry() is engine
-    finally:
-        install_telemetry(previous)
-    assert default_telemetry() is previous
+    with ObsSession(telemetry=Telemetry()) as obs:
+        assert engines()[1] is obs.telemetry
+        assert Simulator().telemetry is obs.telemetry
+    assert engines()[1] is NULL_TELEMETRY
+    assert Simulator().telemetry is NULL_TELEMETRY
 
 
 # -- atomic writes ------------------------------------------------------------

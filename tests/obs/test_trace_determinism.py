@@ -19,15 +19,14 @@ import pytest
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.obs.breakdown import fetch_breakdown
 from repro.obs.export import chrome_trace, dump_chrome_trace
-from repro.obs.tracer import NULL_TRACER, Tracer, install
+from repro.obs.session import ObsSession
+from repro.obs.tracer import NULL_TRACER
 from repro.sim import Simulator
 from repro.workloads import SyntheticParams, SyntheticRunner
 
 
 def run_workload(seed, traced):
-    tracer = Tracer() if traced else NULL_TRACER
-    previous = install(tracer)
-    try:
+    with ObsSession(trace=traced) as obs:
         sim = Simulator(seed=seed)
         params = PlatformParams().scaled(1 / 256)
         platform = Platform(sim, params, dodo=True)
@@ -35,8 +34,7 @@ def run_workload(seed, traced):
                              req_size=8192, num_iter=2, compute_s=0.002)
         runner = SyntheticRunner(platform, sp, use_dodo=True)
         res = sim.run(until=runner.run())
-    finally:
-        install(previous)
+    tracer = obs.tracer if traced else NULL_TRACER
     fingerprint = (res.elapsed_s, tuple(res.iteration_s),
                    sim.events_processed, sim.now)
     return fingerprint, tracer

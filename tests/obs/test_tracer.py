@@ -1,6 +1,7 @@
 """Tests for the span tracer: nesting, causality, the null tracer."""
 
-from repro.obs.tracer import NULL_TRACER, Tracer, default_tracer, install
+from repro.obs.session import ObsSession, engines
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim import Simulator
 
 
@@ -108,7 +109,7 @@ def test_finished_and_components_and_clear():
 
 
 def test_null_tracer_is_inert_and_default():
-    assert default_tracer() is NULL_TRACER
+    assert engines()[0] is NULL_TRACER
     assert not NULL_TRACER.enabled
     sim = Simulator()
     assert sim.tracer is NULL_TRACER
@@ -119,14 +120,10 @@ def test_null_tracer_is_inert_and_default():
 
 
 def test_install_swaps_and_restores():
-    tracer = Tracer()
-    previous = install(tracer)
-    try:
-        assert default_tracer() is tracer
-        assert Simulator().tracer is tracer
-    finally:
-        install(previous)
-    assert default_tracer() is NULL_TRACER
+    with ObsSession(trace=True) as obs:
+        assert engines()[0] is obs.tracer
+        assert Simulator().tracer is obs.tracer
+    assert engines()[0] is NULL_TRACER
     assert Simulator().tracer is NULL_TRACER
 
 

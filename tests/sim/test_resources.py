@@ -179,3 +179,27 @@ def test_priority_store_blocking_get():
     ps.put(7)
     assert got.triggered and got.value == 7
     assert len(ps) == 0
+
+
+def test_try_acquire_takes_a_free_unit_without_an_event():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    assert res.idle and res.try_acquire()
+    assert res.in_use == 1 and not res.idle
+    assert not res.try_acquire() and res.in_use == 1
+    res.release()
+    assert res.idle and res.in_use == 0
+
+
+def test_try_acquire_refuses_while_anyone_waits():
+    """A free unit with a waiter still queued is not idle: the waiter
+    is owed it first.  A queue of only cancelled waiters counts too."""
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    res.acquire()
+    assert res.idle
+    cancelled = sim.event()
+    cancelled.succeed()
+    res._waiters.append(cancelled)
+    assert not res.idle and not res.try_acquire()
+    assert res.in_use == 1

@@ -5,7 +5,8 @@ time to the per-request process path for every workload: same completion
 instants, same service values, same stats (modulo its own ``fastpath.*``
 counters), including under mid-batch contention, nemesis slowdown changes
 and page-cache eviction storms.  These tests run the same seeded workload
-with ``disk.fastpath`` on and off and compare everything observable.
+with the simulator's ``fastpath`` switch on and off and compare everything
+observable.
 """
 
 import gc
@@ -50,7 +51,7 @@ def run_disk_ops(fastpath: bool, ops, seed: int = 0, n_procs: int = 1,
     return everything the two worlds must agree on."""
     sim = Simulator(seed=seed)
     disk = Disk(sim, "d0")
-    disk.fastpath = fastpath
+    sim.fastpath = fastpath
     completions = []
 
     def issuer(pid, my_ops):
@@ -140,7 +141,7 @@ def _run_batch(mode: str, runs, write=False, interloper_at=None):
     fastpath off) or 'sequential' (per-run requests, fastpath off)."""
     sim = Simulator(seed=0)
     disk = Disk(sim, "d0")
-    disk.fastpath = mode == "fast"
+    sim.fastpath = mode == "fast"
     out = {}
 
     def batched():
@@ -291,7 +292,7 @@ def test_invalid_requests_still_raise_through_process():
 def test_fastpath_flag_disables_engagement():
     sim = Simulator(seed=0)
     disk = Disk(sim, "d0")
-    disk.fastpath = False
+    sim.fastpath = False
 
     def proc():
         yield disk.read(0, 8 * KB)
@@ -327,7 +328,7 @@ def run_fs_workload(fastpath: bool, seed: int):
     (tiny cache) and fsyncs — every disk access route in one run."""
     sim = Simulator(seed=seed)
     disk = Disk(sim, "d0")
-    disk.fastpath = fastpath
+    sim.fastpath = fastpath
     fs = FileSystem(sim, disk, cache_bytes=96 * KB, store_data=False)
     fs.create("data", size=2 * MB)
     rng = random.Random(seed * 31 + 5)

@@ -228,13 +228,10 @@ def test_run_sweep_refuses_to_fan_out_under_observation():
 
 def test_run_fig8_refuses_jobs_under_an_installed_tracer():
     from repro.exp.fig8 import run_fig8
-    from repro.obs.tracer import Tracer, install
-    previous = install(Tracer())
-    try:
+    from repro.obs.session import ObsSession
+    with ObsSession(trace=True):
         with pytest.raises(ValueError, match="cannot fan out"):
             run_fig8(scale=1 / 1024, num_iter=1, jobs=2)
-    finally:
-        install(previous)
 
 
 def test_run_fig8_panel_routes_through_engine_identically():

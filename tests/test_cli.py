@@ -110,10 +110,11 @@ def test_traced_run_writes_trace_and_metrics(tmp_path, capsys):
 
 
 def test_untraced_run_leaves_default_tracer(capsys):
-    from repro.obs.tracer import NULL_TRACER, default_tracer
+    from repro.obs.session import engines
+    from repro.obs.tracer import NULL_TRACER
     assert main(["table1", "--days", "0.25"]) == 0
     capsys.readouterr()
-    assert default_tracer() is NULL_TRACER
+    assert engines()[0] is NULL_TRACER
 
 
 # -- telemetry / event log / audit options ------------------------------------
@@ -166,12 +167,12 @@ def test_top_renders_dashboard(capsys):
 
 
 def test_untelemetered_run_leaves_default_telemetry(capsys):
-    from repro.obs.eventlog import NULL_EVENTLOG, default_eventlog
-    from repro.obs.timeseries import NULL_TELEMETRY, default_telemetry
+    from repro.obs.eventlog import NULL_EVENTLOG
+    from repro.obs.session import engines
+    from repro.obs.timeseries import NULL_TELEMETRY
     assert main(["table1", "--days", "0.25"]) == 0
     capsys.readouterr()
-    assert default_telemetry() is NULL_TELEMETRY
-    assert default_eventlog() is NULL_EVENTLOG
+    assert engines()[1:] == (NULL_TELEMETRY, NULL_EVENTLOG)
 
 
 # -- chaos (nemesis) command --------------------------------------------------

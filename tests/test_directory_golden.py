@@ -79,7 +79,7 @@ def _chaos_digest(experiment: str, seed: int) -> dict:
 
 def _serving_digest(monkeypatch) -> dict:
     from repro.exp import serving
-    from repro.obs.eventlog import EventLog, install_eventlog
+    from repro.obs.session import ObsSession
     from repro.sim import Simulator
 
     sims = []
@@ -89,13 +89,9 @@ def _serving_digest(monkeypatch) -> dict:
         return sims[-1]
 
     monkeypatch.setattr(serving, "Simulator", recording_simulator)
-    log = EventLog(level="debug")
-    previous = install_eventlog(log)
-    try:
+    with ObsSession(events="debug") as obs:
         out = serving.run_serving(**SERVING)
-    finally:
-        install_eventlog(previous)
-    return {"eventlog": _sha(_jsonl(log)),
+    return {"eventlog": _sha(_jsonl(obs.eventlog)),
             "result": _sha(canonical_text(out)),
             "events": sims[0].events_processed}
 
