@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.idleness import IdlePolicy, idle_mask
+from repro.cluster.idleness import idle_mask
 
 KB = 1024
 MB = 1024 * 1024

@@ -22,10 +22,10 @@ runtime layer.  Calls are generator process bodies.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.errno import EINVAL, EIO, ENOMEM
+from repro.core.errno import EINVAL, EIO
 from repro.core.policy import CachePolicy, make_policy
 from repro.core.runtime import DodoRuntime
 from repro.metrics.recorder import Recorder

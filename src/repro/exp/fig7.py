@@ -18,10 +18,9 @@ needed to reproduce the measured dmine baseline).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from repro.core.config import DodoConfig
-from repro.exp.platform import MB, Platform, PlatformParams
+from repro.exp.platform import Platform, PlatformParams
 from repro.metrics.report import format_table
 from repro.sim import Simulator
 from repro.storage.filesystem import FsParams

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import DodoConfig
-from repro.exp.platform import MB, Platform, PlatformParams
+from repro.exp.platform import Platform, PlatformParams
 from repro.metrics.report import format_table
 from repro.sim import Simulator
 from repro.workloads.app import SyntheticRunner

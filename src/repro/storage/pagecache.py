@@ -11,7 +11,6 @@ never touches the simulated clock itself.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable
 
 from repro.metrics.recorder import Recorder
 

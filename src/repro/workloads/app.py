@@ -17,9 +17,7 @@ is exactly what Figures 7/8 plot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from repro.core.regionlib import RegionCache
 from repro.exp.platform import ClusterTargets

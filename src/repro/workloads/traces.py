@@ -13,7 +13,6 @@ path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

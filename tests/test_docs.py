@@ -1,8 +1,8 @@
-"""Documentation hygiene: docstring coverage and markdown links.
+"""Source hygiene: docstring coverage, unused imports, markdown links.
 
-These mirror the CI ``docs`` job so a doc regression fails locally
-first.  Both linters live in ``tools/`` and are plain scripts; the
-tests import them by path so no packaging is needed.
+These mirror the CI ``docs`` job so a regression fails locally first.
+The linters live in ``tools/`` and are plain scripts; the tests import
+them by path so no packaging is needed.
 """
 
 import importlib.util
@@ -23,6 +23,11 @@ def test_every_public_api_has_a_docstring():
     missing, stale = _load("check_docstrings").check()
     assert missing == [], f"undocumented public APIs: {missing}"
     assert stale == [], f"stale allowlist entries: {stale}"
+
+
+def test_no_unused_imports():
+    unused = _load("check_imports").check()
+    assert unused == [], "unused imports:\n" + "\n".join(unused)
 
 
 def test_markdown_links_resolve():
