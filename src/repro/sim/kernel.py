@@ -26,15 +26,26 @@ below the fence — the dispatch order is *identical* to the heap's, which
 the golden-file and differential determinism tests assert byte-for-byte
 (see docs/PERFORMANCE.md for the ordering argument).
 
+Most events are due at the very instant they are scheduled: a triggered
+event, a process bootstrap, an interrupt, ``timeout(0)``.  Those skip the
+ladder and go on the *lane*, one FIFO ``deque`` of the events due at
+``now``.  Anything scheduled for ``now`` once the clock is at ``now``
+goes on the lane, so a ladder entry due at ``now`` was scheduled before
+every lane entry: dispatch takes the front's top while it is due at
+``now`` and the lane's head otherwise, which is the heap's exact
+``(time, insertion)`` order at the cost of one deque append and pop.
+
 Two further hot-path optimizations live here: ``Simulator.timeout``
 recycles processed :class:`Timeout` objects from a free pool (the dispatch
 loop returns an event to the pool only when its refcount proves nobody can
 still observe it), and the dispatch loop inlines the pop/advance so the
-common case costs one C heap operation and no Python function calls.
+common case costs one C deque or heap operation and no Python function
+calls.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Iterable, Optional
@@ -111,7 +122,7 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._enqueue(0.0, self)
+        self.sim._lane.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -127,7 +138,7 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exc
-        self.sim._enqueue(0.0, self)
+        self.sim._lane.append(self)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -148,7 +159,7 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        sim._enqueue(delay, self)
+        sim._schedule(sim._now + delay, self)
 
 
 class Simulator:
@@ -170,7 +181,7 @@ class Simulator:
     # Slots turn the many instance-attribute reads per dispatched event
     # into array indexing instead of dict lookups.  ``_bulk_xfer_ids`` is
     # declared for net/bulk.py, which lazily attaches a per-sim counter.
-    __slots__ = ("_now", "_counter", "_front", "_ftop", "_fgrow",
+    __slots__ = ("_now", "_lane", "_counter", "_front", "_ftop", "_fgrow",
                  "_nbuckets", "_mask", "_buckets", "_width", "_inv_width",
                  "_qcount", "_day", "_tpool", "rng", "events_processed",
                  "tracer", "telemetry", "eventlog", "_trace_kernel",
@@ -179,6 +190,9 @@ class Simulator:
 
     def __init__(self, seed: int = 0, fastpath: bool = True):
         self._now: float = 0.0
+        #: the events due at _now, in the order they were scheduled
+        self._lane: deque[Event] = deque()
+        #: insertion serial of ladder entries (lane entries take none)
         self._counter: int = 0
         # -- ladder queue --------------------------------------------------
         # Entries are (when, counter, event) triples.  The front heap holds
@@ -218,11 +232,6 @@ class Simulator:
         self.active_process = None
         self._pid_counter: int = 0
 
-    def _next_pid(self) -> int:
-        """Deterministic serial number for a new process (trace track)."""
-        self._pid_counter += 1
-        return self._pid_counter
-
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
@@ -238,8 +247,9 @@ class Simulator:
 
         The hottest constructor in the simulator: it reuses a pooled
         (processed, unobservable) Timeout when one is available and inlines
-        both the field setup and the ladder insert, so the common case
-        runs one C heappush and no nested Python calls.
+        both the field setup and the queue insert (the lane when the delay
+        is zero or lost to float rounding), so the common case runs one C
+        deque append or heappush and no nested Python calls.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
@@ -256,8 +266,12 @@ class Simulator:
             evt.defused = False
             evt._value = value
             evt.delay = delay
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._lane.append(evt)
+            return evt
         self._counter = count = self._counter + 1
-        when = self._now + delay
         if when < self._ftop:
             front = self._front
             heappush(front, (when, count, evt))
@@ -279,17 +293,13 @@ class Simulator:
         if when < self._now:
             raise SimulationError(
                 f"at({when}) is in the past (now={self._now})")
-        evt = Event(self)
+        evt = Event.__new__(Event)
+        evt.sim = self
+        evt.callbacks = []
         evt._ok = True
         evt._value = value
-        self._counter = count = self._counter + 1
-        if when < self._ftop:
-            front = self._front
-            heappush(front, (when, count, evt))
-            if len(front) > self._fgrow:
-                self._resize()
-        else:
-            self._place(when, (when, count, evt))
+        evt.defused = False
+        self._schedule(when, evt)
         return evt
 
     def call_at(self, when: float, func: Callable[[], None],
@@ -316,11 +326,14 @@ class Simulator:
         return AnyOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------
-    def _enqueue(self, delay: float, event: Event) -> None:
+    def _schedule(self, when: float, event: Event) -> None:
+        """Queue a triggered ``event`` for time ``when >= now``: on the
+        lane when it is due now, else in the ladder."""
+        if when == self._now:
+            self._lane.append(event)
+            return
         self._counter = count = self._counter + 1
-        when = self._now + delay
         if when < self._ftop:
-            # Common case: zero/short delays land inside the fence window.
             front = self._front
             heappush(front, (when, count, event))
             if len(front) > self._fgrow:
@@ -461,6 +474,8 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if none are queued."""
+        if self._lane:
+            return self._now
         front = self._front
         if front:
             return front[0][0]
@@ -470,13 +485,16 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event."""
-        front = self._front
-        if not front:
-            if not self._qcount:
-                raise SimulationError("step() on an empty event queue")
-            self._refill()
-        when, _, event = heappop(front)
-        self._now = when
+        front, lane = self._front, self._lane
+        if lane and not (front and front[0][0] <= self._now):
+            event = lane.popleft()
+        else:
+            if not front:
+                if not self._qcount:
+                    raise SimulationError("step() on an empty event queue")
+                self._refill()
+            when, _, event = heappop(front)
+            self._now = when
         tracer = self.tracer
         if tracer.enabled and tracer.kernel_events:
             tracer.instant(self, "dispatch", "kernel",
@@ -518,36 +536,48 @@ class Simulator:
                     f"run(until={horizon}) is in the past (now={self._now})")
 
         # The dispatch loop is the simulator's hottest code: it inlines the
-        # ladder pop (the common case is one C heappop from the front), the
-        # tracer flag and the Timeout free pool, so one iteration costs one
-        # heap operation, one callback sweep and two flag checks.  The
-        # front local stays valid because refill/resize mutate the list in
-        # place.  step()/peek() remain for external single-stepping.
+        # lane and ladder pops (the common case is one C deque popleft or
+        # heappop), the tracer flag and the Timeout free pool, so one
+        # iteration costs one queue operation, one callback sweep and two
+        # flag checks.  The front and lane locals stay valid because
+        # nothing rebinds them (refill/resize mutate the front in place).
+        # step()/peek() remain for external single-stepping.
         tracer = self.tracer
         kernel_trace = tracer.enabled and tracer.kernel_events
         self._trace_kernel = kernel_trace
         pool = self._tpool
         pool_append = pool.append
         front = self._front
+        lane = self._lane
+        lane_pop = lane.popleft
         pop = heappop
+        now = self._now
         processed = 0
         try:
             while True:
-                if front:
-                    entry = pop(front)
-                elif self._qcount:
-                    self._refill()
-                    entry = pop(front)
+                if lane:
+                    # A front entry due now was scheduled before the clock
+                    # got here, so before every lane entry.
+                    if front and front[0][0] <= now:
+                        event = pop(front)[2]
+                    else:
+                        event = lane_pop()
                 else:
-                    break
-                when = entry[0]
-                if when > horizon:
-                    # Not due within this run: put it back and stop.
-                    heappush(front, entry)
-                    break
-                event = entry[2]
-                entry = None
-                self._now = when
+                    if front:
+                        entry = pop(front)
+                    elif self._qcount:
+                        self._refill()
+                        entry = pop(front)
+                    else:
+                        break
+                    when = entry[0]
+                    if when > horizon:
+                        # Not due within this run: put it back and stop.
+                        heappush(front, entry)
+                        break
+                    event = entry[2]
+                    entry = None
+                    self._now = now = when
                 if kernel_trace:
                     tracer.instant(self, "dispatch", "kernel",
                                    {"event": type(event).__name__})

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.sim.errors import Interrupt, SimulationError
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import _PENDING, Event, Simulator
 
 
 class Process(Event):
@@ -28,27 +28,38 @@ class Process(Event):
     def __init__(self, sim: Simulator, generator: Generator[Event, Any, Any]):
         if not hasattr(generator, "send"):
             raise TypeError(f"Process needs a generator, got {generator!r}")
-        super().__init__(sim)
+        # A process is spawned per request and per message, so this
+        # process and its bootstrap are built field by field, without
+        # Event.__init__.
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self.defused = False
         self._generator: Optional[Generator] = generator
+        sim._pid_counter = pid = sim._pid_counter + 1
         #: deterministic serial number; doubles as the trace track (tid)
-        self.pid: int = sim._next_pid()
+        self.pid: int = pid
         #: span open in the spawning process at creation time — the
         #: causal parent for this process's own root spans
+        tracer = sim.tracer
         self.trace_parent: int = (
-            sim.tracer.current_parent(sim) if sim.tracer.enabled else 0)
-        # Bootstrap: resume the generator at time now (after the caller's
-        # current callback finishes), mirroring SimPy's Initialize event.
-        init = Event(sim)
-        init._ok = True
-        init._value = None
-        sim._enqueue(0.0, init)
+            tracer.current_parent(sim) if tracer.enabled else 0)
         #: cached bound method — appended once per resume on the hot path,
         #: so we pay the bound-method allocation a single time.  It refers
         #: back to this process, so every path that ends the generator
         #: clears it: a finished process then dies by reference counting
         #: instead of waiting as cyclic garbage for the collector.
-        self._rcb = self._resume
-        init.callbacks.append(self._rcb)
+        self._rcb = rcb = self._resume
+        # Bootstrap: resume the generator at time now (after the caller's
+        # current callback finishes), mirroring SimPy's Initialize event.
+        init = Event.__new__(Event)
+        init.sim = sim
+        init.callbacks = [rcb]
+        init._ok = True
+        init._value = None
+        init.defused = False
+        sim._lane.append(init)
         self._target: Optional[Event] = init
 
     @property
@@ -68,8 +79,8 @@ class Process(Event):
         inter = Event(self.sim)
         inter._ok = False
         inter._value = Interrupt(cause)
-        self.sim._enqueue(0.0, inter)
         inter.callbacks.append(self._deliver_interrupt)
+        self.sim._lane.append(inter)
 
     def _deliver_interrupt(self, event: Event) -> None:
         """Detach from the current wait target and throw the interrupt.
@@ -141,7 +152,7 @@ class Process(Event):
             proxy = Event(sim)
             proxy._ok = nxt._ok
             proxy._value = nxt._value
-            sim._enqueue(0.0, proxy)
+            sim._lane.append(proxy)
             nxt = proxy
             cbs = proxy.callbacks
         cbs.append(self._rcb)

@@ -13,7 +13,7 @@ from collections import deque
 from typing import Any, Optional
 
 from repro.sim.errors import SimulationError
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import _PENDING, Event, Simulator
 
 
 class Resource:
@@ -62,11 +62,21 @@ class Resource:
 
     def acquire(self) -> Event:
         """Event that fires once a unit of the resource is granted."""
-        evt = Event(self.sim)
+        # Built without Event.__init__, like Store's events: these are
+        # per-message events on the network and disk paths.
+        sim = self.sim
+        evt = Event.__new__(Event)
+        evt.sim = sim
+        evt.callbacks = []
+        evt.defused = False
         if self._in_use < self.capacity:
             self._in_use += 1
-            evt.succeed()
+            evt._ok = True
+            evt._value = None
+            sim._lane.append(evt)
         else:
+            evt._ok = None
+            evt._value = _PENDING
             self._waiters.append(evt)
         return evt
 
@@ -118,24 +128,40 @@ class Store:
         return tuple(self._items)
 
     def put(self, item: Any) -> Event:
-        evt = Event(self.sim)
+        sim = self.sim
+        evt = Event.__new__(Event)
+        evt.sim = sim
+        evt.callbacks = []
+        evt.defused = False
         getter = self._next_getter()
         if getter is not None:
             getter.succeed(item)
-            evt.succeed()
         elif len(self._items) < self.capacity:
             self._items.append(item)
-            evt.succeed()
         else:
+            evt._ok = None
+            evt._value = _PENDING
             self._putters.append((evt, item))
+            return evt
+        evt._ok = True
+        evt._value = None
+        sim._lane.append(evt)
         return evt
 
     def get(self) -> Event:
-        evt = Event(self.sim)
+        sim = self.sim
+        evt = Event.__new__(Event)
+        evt.sim = sim
+        evt.callbacks = []
+        evt.defused = False
         if self._items:
-            evt.succeed(self._items.popleft())
+            evt._ok = True
+            evt._value = self._items.popleft()
+            sim._lane.append(evt)
             self._admit_putter()
         else:
+            evt._ok = None
+            evt._value = _PENDING
             self._getters.append(evt)
         return evt
 
