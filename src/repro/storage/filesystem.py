@@ -122,6 +122,7 @@ class FileSystem:
                                name=f"{name}.cache")
         self.store_data = store_data
         self._files: dict[str, File] = {}
+        self._inodes: dict[int, File] = {}  # the same files, by inode
         self._handles: dict[int, FileHandle] = {}
         self._next_fd = 3
         self._next_inode = 100
@@ -144,6 +145,7 @@ class FileSystem:
         if self.store_data:
             f.data = bytearray()
         self._files[name] = f
+        self._inodes[f.inode] = f
         if size:
             self._extend(f, size)
         return f
@@ -155,6 +157,7 @@ class FileSystem:
         f = self._files.pop(name, None)
         if f is None:
             raise FsError(f"no such file: {name}")
+        del self._inodes[f.inode]
         self.cache.drop(f.inode)
 
     def open(self, name: str, mode: str = "r") -> FileHandle:
@@ -295,7 +298,8 @@ class FileSystem:
             if span is not None:
                 span.tag("pages", last_page - first_page)
                 span.tag("misses", len(missing))
-            yield from self._fetch_pages(f, missing)
+            if missing:
+                yield from self._fetch_pages(f, missing)
             self.stats.add("read.ops")
             self.stats.add("read.bytes", n)
             copy = tracer.begin(self.sim, "pagecache.copy", "pagecache",
@@ -332,10 +336,11 @@ class FileSystem:
                     # fetch costs one event per extent instead of a
                     # process per extent, with identical timing.
                     yield self.disk.read_batch(runs)
-            writeback.extend(self.cache.insert_many(
-                (f.inode, pg) for pg in pages[i:j + 1]))
+            writeback += self.cache.insert_range(f.inode, pages[i],
+                                                 pages[j] + 1)
             i = j + 1
-        yield from self._writeback(writeback)
+        if writeback:
+            yield from self._writeback(writeback)
 
     def _write(self, fh: FileHandle, offset: int, n: int,
                data: Optional[bytes]):
@@ -369,15 +374,16 @@ class FileSystem:
                     or (offset + n) < min(pg_end, f.size)
                 if partial and (f.inode, pg) not in self.cache:
                     rmw.append(pg)
-            yield from self._fetch_pages(f, sorted(set(rmw)))
+            if rmw:
+                yield from self._fetch_pages(f, sorted(set(rmw)))
 
-            writeback = self.cache.insert_many(
-                ((f.inode, pg) for pg in range(first_page, last_page)),
-                dirty=True)
+            writeback = self.cache.insert_range(f.inode, first_page,
+                                                last_page, dirty=True)
             if span is not None:
                 span.tag("rmw", len(rmw))
                 span.tag("writeback", len(writeback))
-            yield from self._writeback(writeback)
+            if writeback:
+                yield from self._writeback(writeback)
             if f.data is not None and data is not None:
                 f.data[offset:offset + n] = data
             self.stats.add("write.ops")
@@ -396,9 +402,8 @@ class FileSystem:
         by_inode: dict[int, list[int]] = {}
         for inode, pg in keys:
             by_inode.setdefault(inode, []).append(pg)
-        inode_to_file = {f.inode: f for f in self._files.values()}
         for inode, pages in by_inode.items():
-            f = inode_to_file.get(inode)
+            f = self._inodes.get(inode)
             if f is None:
                 continue  # file deleted while pages were in cache
             pages.sort()
