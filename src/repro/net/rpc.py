@@ -43,7 +43,11 @@ class RpcClient:
         self.sock = sock
         self.sim = sock.sim
         self._ids = itertools.count(1)
-        self.stats = Recorder(f"rpc.client.{sock.endpoint.addr}:{sock.port}")
+        endpoint = sock.endpoint
+        if endpoint.rpc_client_stats is None:
+            endpoint.rpc_client_stats = Recorder(
+                f"rpc.client.{endpoint.addr}")
+        self.stats = endpoint.rpc_client_stats
 
     def call(self, dst: tuple[str, int], method: str,
              args: Optional[dict] = None, *, timeout: float = 0.05,

@@ -47,6 +47,13 @@ class TransportEndpoint:
         self.params = params
         self._ports: dict[int, "USocket"] = {}
         self._ephemeral = itertools.count(EPHEMERAL_BASE)
+        #: the counters of every socket, and of every RPC client, this
+        #: endpoint ever opens: made with the first of each, so a
+        #: per-transfer port or a per-call client adds no recorder.  Both
+        #: attributes are set here: one added after construction gives
+        #: every endpoint a larger instance dict
+        self.sock_stats: Optional[Recorder] = None
+        self.rpc_client_stats: Optional[Recorder] = None
         nic.register_endpoint(self)
 
     @property
@@ -98,7 +105,9 @@ class USocket:
         #: when it waits forever); the fast path refuses to engage if the
         #: transfer would latch after this instant
         self._bulk_wait_deadline: Optional[float] = None
-        self.stats = Recorder(f"sock.{endpoint.addr}:{port}")
+        if endpoint.sock_stats is None:
+            endpoint.sock_stats = Recorder(f"sock.{endpoint.addr}")
+        self.stats = endpoint.sock_stats
 
     # -- connection-style convenience -----------------------------------------
     def connect(self, dst_addr: str, dst_port: int) -> None:

@@ -38,7 +38,7 @@ from repro.obs.fleet.model import (ActivityRow, HostView, RunView,
                                    SeriesView, build_fleet_view,
                                    build_run_view)
 from repro.obs.session import ObsSession
-from repro.obs.snapshot import dump_snapshot, group_name, merged_snapshot, \
+from repro.obs.snapshot import dump_snapshot, merged_snapshot, \
     recorder_snapshot, snapshot, write_snapshot
 from repro.obs.timeseries import NULL_TELEMETRY, GaugeSeries, RunTelemetry, \
     Telemetry
@@ -73,7 +73,6 @@ __all__ = [
     "dump_snapshot",
     "fetch_breakdown",
     "format_fetch_breakdown",
-    "group_name",
     "layer_of",
     "merged_snapshot",
     "pick_run",

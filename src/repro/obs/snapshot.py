@@ -8,13 +8,13 @@ max / p50 / p90 / p99 — with stable key sorting, so ``diff run_a.json
 run_b.json`` pinpoints exactly which component's behaviour moved between
 two code versions or two configurations.
 
-Recorder names embed ephemeral identifiers (every socket and RPC client
-carries its port number, several simulators in one experiment each
-build their own ``cmd``), which would make snapshots enormous and
-un-diffable.  Snapshots therefore *group* recorders by a normalized
-name — trailing ``:port`` / ``#n`` components are stripped — and merge
-each group: counters are summed, sample lists pooled.  The per-group
-``instances`` field records how many recorders were merged.
+One run builds many recorders of one name: every simulator of an
+experiment builds its own ``cmd`` and its own hosts, and each transport
+endpoint shares one ``sock.<host>`` and one ``rpc.client.<host>``
+recorder among all its sockets and RPC clients.  Snapshots therefore
+*group* recorders by name and merge each group: counters are summed,
+sample lists pooled.  The per-group ``instances`` field records how many
+recorders were merged.
 
 The CLI's ``--metrics-out run.json`` writes one of these after any
 experiment.
@@ -23,7 +23,6 @@ experiment.
 from __future__ import annotations
 
 import json
-import re
 from typing import IO, Iterable, Optional
 
 from repro.metrics.recorder import Recorder, iter_recorders
@@ -31,15 +30,6 @@ from repro.obs.files import atomic_write
 
 #: sample quantiles included in every snapshot
 QUANTILES = (0.5, 0.9, 0.99)
-
-#: trailing ephemeral id parts stripped from recorder names when grouping
-_EPHEMERAL = re.compile(r"(:\d+|#\d+)+$")
-
-
-def group_name(name: str) -> str:
-    """Normalize a recorder name for grouping (drop ports / instance ids)."""
-    return _EPHEMERAL.sub("", name) or "recorder"
-
 
 def _summary(vals: list[float]) -> dict:
     ordered = sorted(vals)
@@ -89,10 +79,10 @@ def recorder_snapshot(rec: Recorder) -> dict:
 
 
 def snapshot(meta: Optional[dict] = None) -> dict:
-    """Snapshot every live recorder, grouped by normalized name."""
+    """Snapshot every live recorder, grouped by name."""
     groups: dict[str, list[Recorder]] = {}
     for rec in iter_recorders():
-        groups.setdefault(group_name(rec.name), []).append(rec)
+        groups.setdefault(rec.name or "recorder", []).append(rec)
     return {
         "meta": meta or {},
         "recorders": {name: merged_snapshot(recs)

@@ -426,9 +426,12 @@ class FileSystem:
         self._check_open(fh)
         f = fh.file
         dirty = self.cache.dirty_pages(f.inode)
-        yield from self._writeback(dirty)
+        # Clean before the write-back yields to the disk, as Linux clears
+        # a page's dirty bit when its write-back starts: a write that
+        # lands meanwhile dirties the page again for a later write-back.
         for key in dirty:
             self.cache.clean(key)
+        yield from self._writeback(dirty)
         self.stats.add("fsyncs")
         return None
 

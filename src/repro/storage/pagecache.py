@@ -245,7 +245,7 @@ class PageCache:
             raise KeyError(f"page {key} not resident")
 
     def clean(self, key: PageKey) -> None:
-        """Clear the dirty bit after a successful write-back."""
+        """Clear the dirty bit as the page's write-back starts."""
         self._set_dirty(key, False)
 
     def dirty_pages(self, inode: int | None = None) -> list[PageKey]:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.net import SocketClosed, USocketAPI
+from repro.metrics.recorder import start_collection, stop_collection
+from repro.net import Chunk, RpcClient, RpcServer, SocketClosed, USocketAPI
 from repro.sim import Simulator
 
 from repro.testing import make_net
@@ -154,6 +155,54 @@ def test_send_iovec_concatenates():
         return d.payload
 
     assert sim.run(until=sim.process(proc())) == b"abcdef"
+
+
+def test_sockets_and_rpc_clients_share_their_endpoints_recorders():
+    """Dodo opens a socket per transfer and an RPC client per call; each
+    counts into its endpoint's one ``sock.`` and one ``rpc.client.``
+    recorder instead of making its own."""
+    sim = Simulator()
+    net = make_net(sim)
+    server = RpcServer(net.udp["beta"].socket(port=9),
+                       {"echo": lambda args, src: args}, name="echo")
+    server.start()
+    endpoint = net.udp["alpha"]
+    socks, clients, fast = [], [], []
+
+    def proc():
+        # even sockets send one datagram (the fast path), odd ones a
+        # two-chunk burst (always the packet path)
+        for i in range(100):
+            sock = endpoint.socket()
+            socks.append(sock)
+            chunks = (Chunk(0, 8), Chunk(1, 8)) if i % 2 else ()
+            yield sock.send(16, dst=("beta", 10), chunks=chunks)
+            sock.close()
+            yield sim.timeout(0.01)
+        fast.append(net.network.stats.count("fastpath.dgrams"))
+        for i in range(100):
+            client = RpcClient(endpoint.socket())
+            clients.append(client)
+            result = yield from client.call(("beta", 9), "echo", {"i": i})
+            assert result == {"i": i}
+            client.sock.close()
+
+    recorders = start_collection()
+    try:
+        sim.run(until=sim.process(proc()))
+    finally:
+        stop_collection(recorders)
+    assert fast == [50]
+    assert [r.name for r in recorders if r.name.startswith("sock.")] \
+        == ["sock.alpha"]
+    assert [r.name for r in recorders
+            if r.name.startswith("rpc.client.")] == ["rpc.client.alpha"]
+    assert all(s.stats is endpoint.sock_stats for s in socks)
+    assert all(c.stats is endpoint.rpc_client_stats for c in clients)
+    # 50 datagrams, 50 two-chunk bursts and 100 requests
+    assert endpoint.sock_stats.count("tx.datagrams") == 250
+    assert endpoint.sock_stats.count("rx.datagrams") == 100
+    assert endpoint.rpc_client_stats.count("calls.ok") == 100
 
 
 # -- Figure-6 wrapper API -----------------------------------------------------

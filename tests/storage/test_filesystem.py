@@ -277,6 +277,35 @@ def test_fsync_idempotent(sim):
     assert mid == after  # second fsync had nothing to write
 
 
+def test_write_during_fsync_writeback_stays_dirty(sim):
+    """A page rewritten while fsync's write-back of it is on the disk
+    keeps its dirty bit, so its new contents reach the disk later."""
+    fs = make_fs(sim, cache_kb=1024, store_data=False)
+    fh = fs.open("f", "r+")
+    page = fs.params.page_size
+    seen = {}
+
+    def syncer():
+        yield fs.write(fh, 0, page, None)
+        yield fs.fsync(fh)
+        seen["after_fsync"] = fs.cache.dirty_pages()
+        seen["written"] = fs.disk.stats.count("write.bytes")
+        yield fs.fsync(fh)
+        seen["resynced"] = fs.disk.stats.count("write.bytes")
+
+    def rewriter():
+        yield sim.timeout(1e-3)
+        yield fs.write(fh, 0, page, None)
+        seen["after_rewrite"] = fs.cache.dirty_pages()
+
+    sim.process(rewriter())
+    run(sim, syncer())
+    assert seen["after_rewrite"] == [(fh.inode, 0)]
+    assert seen["after_fsync"] == [(fh.inode, 0)]
+    assert seen["resynced"] == 2 * seen["written"] > 0
+    assert fs.cache.dirty_pages() == []
+
+
 def test_unlink_drops_cache_pages(sim):
     fs = make_fs(sim, store_data=False)
     fs.create("f", size=16 * 1024)
