@@ -19,7 +19,7 @@ from repro.storage.disk import DiskParams
 from repro.storage.filesystem import FsParams
 
 
-@dataclass
+@dataclass(slots=True)
 class HostSpec:
     """Per-host configuration inside a :class:`ClusterConfig`."""
 

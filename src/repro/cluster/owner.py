@@ -17,7 +17,7 @@ from repro.cluster.workstation import MB, Workstation
 from repro.sim import Interrupt, Simulator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OwnerParams:
     """Session-process parameters (times in seconds)."""
 
@@ -41,6 +41,9 @@ class OwnerParams:
 
 class Owner:
     """A process animating one workstation's owner."""
+
+    __slots__ = ("sim", "ws", "params", "rng", "_start_active", "batched",
+                 "active", "proc")
 
     def __init__(self, sim: Simulator, ws: Workstation,
                  params: OwnerParams | None = None,

@@ -31,7 +31,7 @@ MB = 1024 * 1024
 KB_TO_BYTES = 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryState:
     """Byte-denominated memory components of one host."""
 
@@ -47,6 +47,11 @@ class MemoryState:
 
 class Workstation:
     """One cluster node.  See module docstring."""
+
+    __slots__ = ("sim", "name", "nic", "udp", "unet", "_mem", "disk", "fs",
+                 "_console_last", "_owner_load", "_console_script",
+                 "_trace_feed", "daemon_load", "guest_memory", "crashed",
+                 "_crash_listeners", "stats")
 
     def __init__(self, sim: Simulator, name: str, network: Network,
                  total_mem_bytes: int = 128 * MB,

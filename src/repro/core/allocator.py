@@ -20,6 +20,8 @@ from repro.metrics.recorder import Recorder
 class PoolAllocator:
     """Interface shared by both allocation schemes."""
 
+    __slots__ = ("pool_size", "stats")
+
     def __init__(self, pool_size: int, name: str = "alloc"):
         if pool_size <= 0:
             raise ValueError(f"pool size must be positive, got {pool_size}")
@@ -71,6 +73,8 @@ class FirstFitAllocator(PoolAllocator):
     :meth:`coalesce` pass merges adjacent blocks, exactly as described in
     Section 4.2.
     """
+
+    __slots__ = ("_free", "_allocated")
 
     def __init__(self, pool_size: int, name: str = "firstfit"):
         super().__init__(pool_size, name)
@@ -156,6 +160,8 @@ class BuddyAllocator(PoolAllocator):
     """
 
     MIN_BLOCK = 4096
+
+    __slots__ = ("_free_by_order", "_max_order", "_min_order", "_allocated")
 
     def __init__(self, pool_size: int, name: str = "buddy"):
         super().__init__(pool_size, name)

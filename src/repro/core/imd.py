@@ -46,6 +46,13 @@ from repro.sim import Simulator
 class IdleMemoryDaemon:
     """One recruited host's guest-memory server."""
 
+    __slots__ = ("sim", "ws", "config", "epoch", "shard_map", "pool_bytes",
+                 "allocator", "pool", "stats", "endpoint", "_ctrl_sock",
+                 "control_port", "_server", "_regions", "_region_shard",
+                 "_shard_incarnations", "active_transfers", "stopping",
+                 "exited", "killed", "cache_policy", "_pinned", "_gen",
+                 "_region_gen", "_drained", "_coalescer", "_reregister")
+
     def __init__(self, sim: Simulator, ws: Workstation, config: DodoConfig,
                  epoch: int, shard_map: Optional[ShardMap] = None,
                  pool_bytes: Optional[int] = None,

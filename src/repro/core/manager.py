@@ -35,7 +35,7 @@ from repro.net.rpc import RpcClient, RpcServer, RpcTimeout
 from repro.sim import Interrupt, Resource, Simulator
 
 
-@dataclass
+@dataclass(slots=True)
 class IwdEntry:
     """One idle host: epoch + free-space hint + control port."""
 

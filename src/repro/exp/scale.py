@@ -69,9 +69,9 @@ def run_scale(n_hosts: int = 1000, seed: int = 11, pattern: str = "hotcold",
     platform = Platform(sim, params, dodo=True, config=DodoConfig(
         transport=transport, store_payload=False))
     if owners:
+        owner_params = OwnerParams(active_mean_s=60.0, away_mean_s=120.0)
         for i in range(params.n_memory_hosts):
-            Owner(sim, platform.cluster[f"mem{i:02d}"],
-                  params=OwnerParams(active_mean_s=60.0, away_mean_s=120.0),
+            Owner(sim, platform.cluster[f"mem{i:02d}"], params=owner_params,
                   start_active=bool(i % 2))
     dataset = dataset_mb * MB
     dataset -= dataset % req_size

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import weakref
 from collections import defaultdict
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 #: weak references to every Recorder ever created, in creation order —
 #: the observability snapshot (:mod:`repro.obs.snapshot`) walks this to
@@ -25,6 +26,10 @@ _prune_at = _PRUNE_FLOOR
 
 #: active strong-reference collections (see :func:`start_collection`)
 _COLLECTORS: list[list] = []
+
+#: the samples of a recorder that has not sampled yet: nearly every
+#: recorder only counts, so its sample dict is made on the first sample
+_NO_SAMPLES: Mapping[str, list[float]] = MappingProxyType({})
 
 
 def iter_recorders() -> Iterable["Recorder"]:
@@ -74,10 +79,12 @@ def _register(rec: "Recorder") -> None:
 class Recorder:
     """A named bag of additive counters and value accumulators."""
 
+    __slots__ = ("name", "_counters", "_samples", "__weakref__")
+
     def __init__(self, name: str = ""):
         self.name = name
         self._counters: defaultdict[str, float] = defaultdict(float)
-        self._samples: defaultdict[str, list[float]] = defaultdict(list)
+        self._samples: Mapping[str, list[float]] = _NO_SAMPLES
         _register(self)
         for collected in _COLLECTORS:
             collected.append(self)
@@ -113,6 +120,8 @@ class Recorder:
     # -- samples --------------------------------------------------------------
     def sample(self, key: str, value: float) -> None:
         """Append one observation to the sample list for ``key``."""
+        if self._samples is _NO_SAMPLES:
+            self._samples = defaultdict(list)
         self._samples[key].append(value)
 
     def samples(self, key: str) -> list[float]:
@@ -189,7 +198,7 @@ class Recorder:
 
     def clear(self) -> None:
         self._counters.clear()
-        self._samples.clear()
+        self._samples = _NO_SAMPLES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Recorder {self.name!r} {dict(self._counters)}>"

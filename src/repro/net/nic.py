@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class NIC:
     """A host's network interface card."""
 
+    __slots__ = ("sim", "addr", "tx", "rx", "endpoints", "_down", "network",
+                 "stats")
+
     def __init__(self, sim: Simulator, addr: str):
         self.sim = sim
         self.addr = addr

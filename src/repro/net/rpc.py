@@ -12,7 +12,6 @@ matters for non-idempotent handlers like ``alloc``).
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from typing import Callable, Optional
 
 from repro.metrics.recorder import Recorder
@@ -144,6 +143,9 @@ class RpcServer:
     #: replies remembered for duplicate-request suppression
     DEDUP_CACHE = 128
 
+    __slots__ = ("sock", "sim", "handlers", "name", "component", "stats",
+                 "_seen", "_proc")
+
     def __init__(self, sock: USocket, handlers: dict[str, Callable],
                  name: str = "rpc", component: Optional[str] = None):
         self.sock = sock
@@ -155,7 +157,8 @@ class RpcServer:
         #: to the right row.  Defaults to the name's first dotted part.
         self.component = component or name.split(".", 1)[0]
         self.stats = Recorder(f"rpc.server.{name}")
-        self._seen: OrderedDict[tuple, dict] = OrderedDict()
+        #: reply (None while in flight) by request, oldest first
+        self._seen: dict[tuple, Optional[dict]] = {}
         self._proc = None
 
     def start(self):
@@ -222,9 +225,10 @@ class RpcServer:
                 except Exception as exc:  # noqa: BLE001 - reported to caller
                     reply["error"] = f"{type(exc).__name__}: {exc}"
                     self.stats.add("handler_errors")
-            self._seen[key] = reply
-            while len(self._seen) > self.DEDUP_CACHE:
-                self._seen.popitem(last=False)
+            seen = self._seen
+            seen[key] = reply
+            while len(seen) > self.DEDUP_CACHE:
+                del seen[next(iter(seen))]
             if not self.sock.closed:
                 yield self.sock.send(RPC_HEADER_SIZE, payload=reply, dst=src)
         finally:

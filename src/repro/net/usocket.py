@@ -39,6 +39,9 @@ class SocketClosed(Exception):
 class TransportEndpoint:
     """One transport (UDP or U-Net) attached to one host's NIC."""
 
+    __slots__ = ("sim", "nic", "network", "params", "_ports", "_ephemeral",
+                 "sock_stats", "rpc_client_stats")
+
     def __init__(self, sim: Simulator, nic: "NIC", network: "Network",
                  params: TransportParams):
         self.sim = sim
@@ -49,9 +52,7 @@ class TransportEndpoint:
         self._ephemeral = itertools.count(EPHEMERAL_BASE)
         #: the counters of every socket, and of every RPC client, this
         #: endpoint ever opens: made with the first of each, so a
-        #: per-transfer port or a per-call client adds no recorder.  Both
-        #: attributes are set here: one added after construction gives
-        #: every endpoint a larger instance dict
+        #: per-transfer port or a per-call client adds no recorder
         self.sock_stats: Optional[Recorder] = None
         self.rpc_client_stats: Optional[Recorder] = None
         nic.register_endpoint(self)
@@ -82,6 +83,11 @@ class TransportEndpoint:
 
 class USocket:
     """A datagram socket with buffer limits, timeouts and burst sends."""
+
+    __slots__ = ("endpoint", "sim", "port", "recvbuf", "sendbuf",
+                 "default_dst", "closed", "_queue", "_queued_bytes",
+                 "_pending_recvs", "_bulk_wait_mode", "_bulk_ack_timeout",
+                 "_bulk_wait_deadline", "stats")
 
     def __init__(self, endpoint: TransportEndpoint, port: int,
                  recvbuf: int, sendbuf: int):

@@ -521,11 +521,7 @@ class Simulator:
                 if stop_evt.ok:
                     return stop_evt.value
                 raise stop_evt.value
-
-            def _stop(evt: Event) -> None:
-                raise StopSimulation
-
-            stop_evt.callbacks.append(_stop)
+            stop_evt.callbacks.append(_stop_run)
             horizon = float("inf")
         elif until is None:
             horizon = float("inf")
@@ -601,7 +597,15 @@ class Simulator:
                     # An unhandled failure: surface it rather than losing it.
                     raise event._value
         except StopSimulation:
-            pass
+            # The stop event's callbacks added after this run began (a
+            # process that yielded it meanwhile) come after _stop_run:
+            # run them now, in order, as the rest of its dispatch.  The
+            # dispatch stays uncounted, as it always was.  A second
+            # _stop_run (the event was the stop of an earlier run that
+            # drained first) has nothing left to stop.
+            for cb in callbacks[callbacks.index(_stop_run) + 1:]:
+                if cb is not _stop_run:
+                    cb(event)
         finally:
             self.events_processed += processed
         if horizon != float("inf") and self._now < horizon:
@@ -615,6 +619,11 @@ class Simulator:
             stop_evt.defused = True
             raise stop_evt.value
         return None
+
+
+def _stop_run(evt: Event) -> None:
+    """The callback :meth:`Simulator.run` appends to its stop event."""
+    raise StopSimulation
 
 
 # process.py subclasses Event and imports this module, so its classes are

@@ -3,6 +3,13 @@
 These model contended hardware (a disk arm, a NIC TX engine) and message
 queues between daemons.  All wait lists are strictly FIFO so simulations are
 deterministic.
+
+Every host owns several of these and most never queue anything, so a
+wait list is ``None`` until its first entry and a ``deque`` from then on
+(an empty ``deque`` is 760 B on 64-bit CPython).  A store's parked gets
+go further: a daemon's socket spends its life with one get parked, so a
+lone parked get sits in the slot itself and the deque is built for a
+second.
 """
 
 from __future__ import annotations
@@ -28,13 +35,15 @@ class Resource:
             disk.release()
     """
 
+    __slots__ = ("sim", "capacity", "_in_use", "_waiters")
+
     def __init__(self, sim: Simulator, capacity: int = 1):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        self._waiters: Optional[deque[Event]] = None
 
     @property
     def in_use(self) -> int:
@@ -42,7 +51,7 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        return len(self._waiters)
+        return len(self._waiters or ())
 
     @property
     def idle(self) -> bool:
@@ -77,6 +86,8 @@ class Resource:
         else:
             evt._ok = None
             evt._value = _PENDING
+            if self._waiters is None:
+                self._waiters = deque()
             self._waiters.append(evt)
         return evt
 
@@ -84,8 +95,9 @@ class Resource:
         """Return one unit; grants the oldest waiter if any."""
         if self._in_use <= 0:
             raise SimulationError("release() without matching acquire()")
-        while self._waiters:
-            waiter = self._waiters.popleft()
+        waiters = self._waiters
+        while waiters:
+            waiter = waiters.popleft()
             if waiter.triggered:  # cancelled
                 continue
             waiter.succeed()
@@ -94,11 +106,11 @@ class Resource:
 
     def cancel(self, evt: Event) -> bool:
         """Withdraw a pending acquire; returns True if it was still queued."""
-        try:
-            self._waiters.remove(evt)
+        waiters = self._waiters
+        if waiters and evt in waiters:
+            waiters.remove(evt)
             return True
-        except ValueError:
-            return False
+        return False
 
 
 class Store:
@@ -110,22 +122,27 @@ class Store:
     messages ("poison pills") through stores.
     """
 
+    __slots__ = ("sim", "capacity", "_items", "_getters", "_putters")
+
     def __init__(self, sim: Simulator, capacity: float = float("inf")):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
+        # Queued items, parked gets (one parked get is held bare) and
+        # blocked puts (only a bounded store ever blocks one); see the
+        # module docstring.
+        self._items: Optional[deque[Any]] = None
+        self._getters: Optional[Event | deque[Event]] = None
+        self._putters: Optional[deque[tuple[Event, Any]]] = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._items or ())
 
     @property
     def items(self) -> tuple:
         """Snapshot of queued items (read-only view for tests/metrics)."""
-        return tuple(self._items)
+        return tuple(self._items or ())
 
     def put(self, item: Any) -> Event:
         sim = self.sim
@@ -136,13 +153,17 @@ class Store:
         getter = self._next_getter()
         if getter is not None:
             getter.succeed(item)
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
         else:
-            evt._ok = None
-            evt._value = _PENDING
-            self._putters.append((evt, item))
-            return evt
+            items = self._items
+            if items is None:
+                items = self._items = deque()
+            if len(items) < self.capacity:
+                items.append(item)
+            else:
+                evt._ok = None
+                evt._value = _PENDING
+                self._putter_queue().append((evt, item))
+                return evt
         evt._ok = True
         evt._value = None
         sim._lane.append(evt)
@@ -154,29 +175,53 @@ class Store:
         evt.sim = sim
         evt.callbacks = []
         evt.defused = False
-        if self._items:
+        items = self._items
+        if items:
             evt._ok = True
-            evt._value = self._items.popleft()
+            evt._value = items.popleft()
             sim._lane.append(evt)
             self._admit_putter()
         else:
             evt._ok = None
             evt._value = _PENDING
-            self._getters.append(evt)
+            self._park(evt)
         return evt
 
     def cancel(self, evt: Event) -> bool:
         """Withdraw a pending get; returns True if it was still queued."""
-        try:
-            self._getters.remove(evt)
+        getters = self._getters
+        if getters is evt:
+            self._getters = None
             return True
-        except ValueError:
-            return False
+        if getters.__class__ is deque and evt in getters:
+            getters.remove(evt)
+            return True
+        return False
 
     # -- internals ----------------------------------------------------------
+    def _park(self, evt: Event) -> None:
+        getters = self._getters
+        if getters is None:
+            self._getters = evt
+        elif getters.__class__ is deque:
+            getters.append(evt)
+        else:
+            self._getters = deque((getters, evt))
+
+    def _putter_queue(self) -> deque[tuple[Event, Any]]:
+        if self._putters is None:
+            self._putters = deque()
+        return self._putters
+
     def _next_getter(self) -> Optional[Event]:
-        while self._getters:
-            getter = self._getters.popleft()
+        getters = self._getters
+        if getters is None:
+            return None
+        if getters.__class__ is not deque:
+            self._getters = None
+            return None if getters.triggered else getters
+        while getters:
+            getter = getters.popleft()
             if not getter.triggered:
                 return getter
         return None
@@ -200,6 +245,8 @@ class PriorityStore(Store):
     prioritized by an integer field); the default identity key requires
     the items themselves to be orderable.
     """
+
+    __slots__ = ("_heap", "_seq", "_key")
 
     def __init__(self, sim: Simulator, capacity: float = float("inf"),
                  key: Optional[Any] = None):
@@ -237,7 +284,7 @@ class PriorityStore(Store):
                            (self._key(item), next(self._seq), item))
             evt.succeed()
         else:
-            self._putters.append((evt, item))
+            self._putter_queue().append((evt, item))
         return evt
 
     def get(self) -> Event:
@@ -251,5 +298,5 @@ class PriorityStore(Store):
                                (self._key(pitem), next(self._seq), pitem))
                 pevt.succeed()
         else:
-            self._getters.append(evt)
+            self._park(evt)
         return evt

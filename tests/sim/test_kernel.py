@@ -155,6 +155,56 @@ def test_run_until_failed_event_raises():
         sim.run(until=p)
 
 
+def test_run_until_event_runs_callbacks_added_during_the_run():
+    """A process that waits on the stop event after run() began still
+    resumes, and every callback runs in the order it was added, before
+    run() returns."""
+    sim = Simulator()
+    order = []
+
+    def proc():
+        yield sim.timeout(1.0)
+        return 5
+
+    def waiter():
+        order.append(("waiter got", (yield p)))
+        return "waited"
+
+    def late():
+        yield sim.timeout(0.5)
+        p.callbacks.append(lambda evt: order.append("late"))
+
+    p = sim.process(proc())
+    p.callbacks.append(lambda evt: order.append("early"))
+    w = sim.process(waiter())
+    sim.process(late())
+    assert sim.run(until=p) == 5
+    assert order == ["early", ("waiter got", 5), "late"]
+    sim.run()
+    assert not w.is_alive and w.value == "waited"
+
+
+def test_run_until_failed_event_fails_processes_waiting_on_it():
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(1.0)
+        raise ValueError("process died")
+
+    def waiter():
+        try:
+            yield p
+        except ValueError as exc:
+            return f"saw {exc}"
+
+    p = sim.process(proc())
+    w = sim.process(waiter())
+    with pytest.raises(ValueError, match="process died"):
+        sim.run(until=p)
+    sim.run()
+    assert w.value == "saw process died"
+
+
 def test_step_on_empty_queue_is_error():
     sim = Simulator()
     with pytest.raises(SimulationError):

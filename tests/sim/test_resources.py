@@ -121,6 +121,29 @@ def test_store_cancel_pending_get():
     assert not pending.triggered
 
 
+def test_store_parked_gets_are_served_fifo_across_cancels():
+    """One parked get and a queue of them behave alike: gets are served
+    in arrival order, and cancelled or already triggered ones are
+    skipped."""
+    sim = Simulator()
+    store = Store(sim)
+    lone = store.get()
+    assert store.cancel(lone) and not store.cancel(lone)
+    taken = store.get()
+    taken.succeed("elsewhere")
+    store.put("kept")
+    assert store.items == ("kept",) and store.get().value == "kept"
+    g1, g2, g3 = store.get(), store.get(), store.get()
+    assert store.cancel(g2) and not store.cancel(g2)
+    for item in "abc":
+        store.put(item)
+    assert (g1.value, g3.value) == ("a", "b") and not g2.triggered
+    assert store.items == ("c",)
+    g4, g5 = store.get(), store.get()
+    store.put("d")
+    assert (g4.value, g5.value) == ("c", "d") and len(store) == 0
+
+
 def test_store_producer_consumer_processes():
     sim = Simulator()
     store = Store(sim)
@@ -195,11 +218,13 @@ def test_try_acquire_refuses_while_anyone_waits():
     """A free unit with a waiter still queued is not idle: the waiter
     is owed it first.  A queue of only cancelled waiters counts too."""
     sim = Simulator()
-    res = Resource(sim, capacity=2)
+    res = Resource(sim, capacity=1)
     res.acquire()
-    assert res.idle
-    cancelled = sim.event()
-    cancelled.succeed()
-    res._waiters.append(cancelled)
+    cancelled = res.acquire()
+    cancelled.succeed()  # triggered elsewhere while still queued
+    res.capacity = 2  # a free unit beside a queue of one cancelled waiter
+    assert res.queue_length == 1
     assert not res.idle and not res.try_acquire()
     assert res.in_use == 1
+    res.release()  # discards the cancelled waiter, returns the unit
+    assert res.queue_length == 0 and res.in_use == 0 and res.idle

@@ -14,6 +14,18 @@ unreachable: the cyclic garbage that reference counting could not free.
 (The census needs its own pass because saved garbage stays tracked and
 slows every later collection.)
 
+Last it prints what the finished run keeps alive, from the first pass:
+the live objects the call added, by type, with their counts and
+``sys.getsizeof`` bytes in total and per simulated host (per live
+``Workstation``), and the RSS the call added per host.  Right after the
+call nothing has collected the finished platforms yet (their object
+graphs are cyclic by design), so this is the state each host costs.
+Only objects the collector tracks are counted (containers and class
+instances, not strings or numbers), ``getsizeof`` counts a container's
+own block and not what it holds, and an instance's attribute values are
+not counted at all unless it has slots, which is why the RSS figure is
+the one to compare.
+
 cProfile and ``perfbench/layertrace.py`` cannot see this cost: a
 collection runs inside whichever call happened to allocate, and is
 charged to that frame.  The script times the build phase as perfbench's
@@ -29,6 +41,7 @@ import argparse
 import functools
 import gc
 import importlib
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -42,6 +55,24 @@ from workloads import WORKLOADS  # noqa: E402
 PHASES = ("build", "run")
 #: census rows printed, largest first
 TOP_TYPES = 15
+PAGE = os.sysconf("SC_PAGE_SIZE")
+
+
+def rss_bytes() -> int:
+    """Current resident set size (Linux ``/proc/self/statm``)."""
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * PAGE
+
+
+def live_census() -> dict[str, list[int]]:
+    """Every object the collector tracks, by type name:
+    ``[count, sys.getsizeof bytes]``."""
+    table: dict[str, list[int]] = {}
+    for obj in gc.get_objects():
+        row = table.setdefault(type(obj).__qualname__, [0, 0])
+        row[0] += 1
+        row[1] += sys.getsizeof(obj)
+    return table
 
 
 def settle() -> None:
@@ -72,10 +103,13 @@ class GcClock:
         cell[2] += info["collected"]
 
 
-def timed_pass(wl, module, params) -> tuple[GcClock, float, float]:
+def timed_pass(wl, module, params) -> tuple[GcClock, float, float, dict,
+                                            int]:
     """Run the experiment once with the GC clock installed and every
     ``Platform`` constructor timed; return the clock, the experiment
-    call's wall and the constructors' part of it."""
+    call's wall, the constructors' part of it, and what the call left
+    alive: the net live objects it added by type (as
+    :func:`live_census`) and the bytes of RSS it added."""
     from repro.exp.platform import Platform
 
     clock = GcClock()
@@ -94,16 +128,24 @@ def timed_pass(wl, module, params) -> tuple[GcClock, float, float]:
             build_s += perf_counter() - wall
 
     settle()
+    before = live_census()
     Platform.__init__ = timed_build
     gc.callbacks.append(clock)
     try:
+        rss = rss_bytes()
         wall = perf_counter()
         wl.run(module, params)
         wall_s = perf_counter() - wall
+        rss = rss_bytes() - rss
     finally:
         gc.callbacks.remove(clock)
         Platform.__init__ = build
-    return clock, wall_s, build_s
+    kept = {}
+    for type_name, (n, size) in live_census().items():
+        n0, size0 = before.get(type_name, (0, 0))
+        if n > n0:
+            kept[type_name] = [n - n0, size - size0]
+    return clock, wall_s, build_s, kept, rss
 
 
 def census_pass(wl, module, params) -> tuple[Counter, int]:
@@ -124,6 +166,27 @@ def census_pass(wl, module, params) -> tuple[Counter, int]:
     after = len(gc.garbage) - during
     gc.garbage.clear()
     return found, after
+
+
+def report_kept(kept: dict, rss: int) -> None:
+    """Print what the finished run keeps alive, in total and per host."""
+    hosts = kept.get("Workstation", [0])[0]
+    count = sum(n for n, _ in kept.values())
+    size = sum(b for _, b in kept.values())
+    print(f"  what the finished run keeps alive: {count} objects, "
+          f"{size / 1e6:.2f} MB by getsizeof, RSS {rss / 1e6:.2f} MB, "
+          f"{hosts} simulated hosts")
+    if not hosts:
+        return
+    print(f"  RSS per host: {rss / hosts / 1e3:.1f} KB")
+    print(f"  {'count':>10s}{'bytes':>12s}{'per host':>10s}"
+          f"{'B/host':>9s}  type")
+    rows = sorted(kept.items(), key=lambda kv: (-kv[1][1], kv[0]))
+    for type_name, (n, b) in rows[:TOP_TYPES]:
+        print(f"  {n:>10d}{b:>12d}{n / hosts:>10.2f}{b / hosts:>9.0f}"
+              f"  {type_name}")
+    print(f"  {count:>10d}{size:>12d}{count / hosts:>10.2f}"
+          f"{size / hosts:>9.0f}  all types")
 
 
 def report(name: str, seed: int, clock: GcClock, wall_s: float,
@@ -158,9 +221,10 @@ def main(argv=None) -> int:
     wl = WORKLOADS[args.workload]
     params = wl.params(args.seed)
     module = importlib.import_module(wl.module)
-    clock, wall_s, build_s = timed_pass(wl, module, params)
+    clock, wall_s, build_s, kept, rss = timed_pass(wl, module, params)
     garbage, after = census_pass(wl, module, params)
     report(wl.name, args.seed, clock, wall_s, build_s, garbage, after)
+    report_kept(kept, rss)
     return 0
 
 
