@@ -79,11 +79,15 @@ def _register(rec: "Recorder") -> None:
 class Recorder:
     """A named bag of additive counters and value accumulators."""
 
-    __slots__ = ("name", "_counters", "_samples", "__weakref__")
+    __slots__ = ("name", "tally", "_samples", "__weakref__")
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._counters: defaultdict[str, float] = defaultdict(float)
+        #: the live counters, in first-increment order.  ``add`` is
+        #: ``tally[key] += amount``; a hot path bumping several counters
+        #: may do that itself, one dict operation each instead of a call.
+        #: Its identity never changes (``clear`` empties it in place).
+        self.tally: defaultdict[str, float] = defaultdict(float)
         self._samples: Mapping[str, list[float]] = _NO_SAMPLES
         _register(self)
         for collected in _COLLECTORS:
@@ -92,20 +96,20 @@ class Recorder:
     # -- counters -----------------------------------------------------------
     def add(self, key: str, amount: float = 1.0) -> None:
         """Increment counter ``key`` by ``amount``."""
-        self._counters[key] += amount
+        self.tally[key] += amount
 
     def count(self, key: str) -> float:
         """Current value of counter ``key`` (0 if never incremented)."""
-        return self._counters.get(key, 0.0)
+        return self.tally.get(key, 0.0)
 
     @property
     def counters(self) -> dict[str, float]:
-        return dict(self._counters)
+        return dict(self.tally)
 
     # -- series enumeration (the exporters' API) ----------------------------
     def counter_names(self) -> list[str]:
         """Registered counter keys, in first-increment order."""
-        return list(self._counters)
+        return list(self.tally)
 
     def sample_names(self) -> list[str]:
         """Registered sample keys, in first-observation order."""
@@ -113,7 +117,7 @@ class Recorder:
 
     def names(self) -> list[str]:
         """All registered series keys: counters, then samples."""
-        seen = dict.fromkeys(self._counters)
+        seen = dict.fromkeys(self.tally)
         seen.update(dict.fromkeys(self._samples))
         return list(seen)
 
@@ -197,11 +201,11 @@ class Recorder:
         return counts, edges
 
     def clear(self) -> None:
-        self._counters.clear()
+        self.tally.clear()
         self._samples = _NO_SAMPLES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Recorder {self.name!r} {dict(self._counters)}>"
+        return f"<Recorder {self.name!r} {dict(self.tally)}>"
 
 
 class TimeSeries:

@@ -193,7 +193,8 @@ def _plan_fast(sock: USocket, dst_sock: USocket, size: int,
     zero simulator events), accumulating absolute event times from
     ``sim.now`` with the exact additions the packet path would perform.
     Every blast but the last carries ``per_blast`` full chunks, so two
-    :meth:`~repro.net.network.Network.leg` shapes cover the transfer.
+    blast shapes of the transport's
+    :class:`~repro.net.network.CostTable` cover the transfer.
     Refuses (returns None) whenever the lossless packet path would *not*
     be NACK/probe-free: a blast overflowing the receive buffer, an
     arrival not strictly beating the receiver's ack deadline, an ACK not
@@ -202,10 +203,9 @@ def _plan_fast(sock: USocket, dst_sock: USocket, size: int,
     heap, hence the strict comparisons.
     """
     ep = sock.endpoint
-    net = ep.network
-    frames_for = net.link.frames_for
-    p = ep.params
-    chunk_size = p.max_payload
+    frames_for = ep.network.link.frames_for
+    costs = ep.costs
+    chunk_size = ep.params.max_payload
     nchunks = _nchunks_for(size, chunk_size)
     c_tail = size - (nchunks - 1) * chunk_size if size > 0 else 0
     f_c = frames_for(chunk_size)
@@ -225,22 +225,21 @@ def _plan_fast(sock: USocket, dst_sock: USocket, size: int,
     last_bytes = (k - 1) * chunk_size + c_tail
     if last_bytes > recvbuf or n_full and per_blast * chunk_size > recvbuf:
         return None
-    last = net.leg(p, last_bytes, (k - 1) * f_c + f_tail, k,
-                   chunk_size if k > 1 else c_tail, f_c if k > 1 else f_tail,
-                   c_tail, f_tail)
+    last = costs[(last_bytes, (k - 1) * f_c + f_tail, k,
+                  chunk_size if k > 1 else c_tail, f_c if k > 1 else f_tail,
+                  c_tail, f_tail)][1]
     legs = [last]
     if n_full:
-        full = net.leg(p, per_blast * chunk_size, per_blast * f_c,
-                       per_blast, chunk_size, f_c, chunk_size, f_c)
+        full = costs[(per_blast * chunk_size, per_blast * f_c, per_blast,
+                      chunk_size, f_c, chunk_size, f_c)][1]
         legs = [full] * n_full + legs
 
-    f_ctrl = frames_for(CTRL_SIZE)
     #: control legs: sender-initiated (offer/probe) use the sender's
     #: transport params, receiver-initiated (window/ack) the receiver's —
     #: Network.leg charges receiver CPU with the *initiator's* params
-    s_cpu, _, s_switch, s_hold, s_tail = net.leg(p, CTRL_SIZE, f_ctrl)
-    r_cpu, _, r_switch, r_hold, r_tail = net.leg(
-        dst_sock.endpoint.params, CTRL_SIZE, f_ctrl)
+    s_cpu, _, s_switch, s_hold, s_tail = costs[CTRL_SIZE][1]
+    r_cpu, _, r_switch, r_hold, r_tail = \
+        dst_sock.endpoint.costs[CTRL_SIZE][1]
 
     t = sock.sim.now
     t_latch = None

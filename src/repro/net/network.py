@@ -43,6 +43,39 @@ class BulkToken:
         self.abort = None
 
 
+class CostTable(dict):
+    """What each datagram shape costs one transport: shape ->
+    ``(frames, leg)``, filled on first use by
+    :meth:`~repro.net.params.LinkParams.frames_for` and
+    :meth:`Network.leg`.
+
+    A cost that depends only on the transport parameters and the shape
+    is computed once per network: every send, fast datagram and bulk
+    plan reads it here.  A single datagram's shape is its size; a
+    burst's or a blast's is the whole argument tuple of
+    :meth:`Network.leg` after ``p``.  A hit is one dict lookup and no
+    call, and an entry is the very tuple ``leg`` returned, so times stay
+    bit-identical.
+    """
+
+    __slots__ = ("network", "params")
+
+    def __init__(self, network: "Network", params: TransportParams):
+        super().__init__()
+        self.network = network
+        self.params = params
+
+    def __missing__(self, shape) -> tuple:
+        network = self.network
+        if shape.__class__ is tuple:
+            cost = (shape[1], network.leg(self.params, *shape))
+        else:
+            frames = network.link.frames_for(shape)
+            cost = (frames, network.leg(self.params, shape, frames))
+        self[shape] = cost
+        return cost
+
+
 class Network:
     """The cluster switch plus all attached host links."""
 
@@ -65,6 +98,9 @@ class Network:
         #: hosts in different groups cannot reach each other (hosts in no
         #: group form one implicit group).  None = fully connected.
         self._partition: Optional[list[frozenset]] = None
+        #: one cost table per transport parameter set; the sets are
+        #: frozen and hash by value, so equal copies share a table
+        self._costs: dict[TransportParams, CostTable] = {}
         if sim.telemetry.enabled:
             sim.telemetry.register(sim, "network", "network", self)
 
@@ -136,7 +172,9 @@ class Network:
         src_nic = self._nics.get(src)
         dst_nic = self._nics.get(dst)
         if src_nic is None or src_nic.down or dst_nic is None \
-                or dst_nic.down or not self.reachable(src, dst):
+                or dst_nic.down:
+            return False
+        if self._partition is not None and not self.reachable(src, dst):
             return False
         return src_nic.quiescent and dst_nic.quiescent
 
@@ -190,6 +228,13 @@ class Network:
         self._partition = None
 
     # -- cost model -----------------------------------------------------------
+    def cost_table(self, params: TransportParams) -> CostTable:
+        """The cost table of transport ``params`` on this network."""
+        table = self._costs.get(params)
+        if table is None:
+            table = self._costs[params] = CostTable(self, params)
+        return table
+
     def frames_for(self, payload_bytes: int) -> int:
         """Ethernet frames needed for one datagram of ``payload_bytes``."""
         return self.link.frames_for(payload_bytes)
@@ -245,9 +290,10 @@ class Network:
         if src_nic is None or src_nic.down:
             self.stats.add("tx.dropped.src_down")
             return False
-        self.stats.add("tx.datagrams", dgram.count)
-        self.stats.add("tx.bytes", dgram.size)
-        self.stats.add("tx.frames", frames)
+        tally = self.stats.tally
+        tally["tx.datagrams"] += dgram.count
+        tally["tx.bytes"] += dgram.size
+        tally["tx.frames"] += frames
         delivered = yield from self._transmit_tail(src_nic, dgram, params,
                                                    leg)
         return delivered
@@ -270,7 +316,8 @@ class Network:
         if dst_nic is None or dst_nic.down:
             self.stats.add("rx.dropped.dst_down")
             return False
-        if not self.reachable(dgram.src, dgram.dst):
+        if self._partition is not None \
+                and not self.reachable(dgram.src, dgram.dst):
             self.stats.add("rx.dropped.partitioned")
             return False
         delivered = yield from self._rx_finish(dst_nic, dgram, params, leg)
@@ -284,9 +331,10 @@ class Network:
         yield self.sim.timeout(leg[3])
         dst_nic.rx.release()
 
-        dgram = self._apply_loss(dgram, params)
-        if dgram is None:
-            return False
+        if params.frame_loss_prob > 0.0 or self.extra_loss_prob > 0.0:
+            dgram = self._apply_loss(dgram, params)
+            if dgram is None:
+                return False
         yield self.sim.timeout(leg[4])
         dst_nic.deliver(dgram)
         return True
@@ -303,19 +351,21 @@ class Network:
     # deliveries are identical either way (ties at equal timestamps may
     # interleave differently; see docs/PERFORMANCE.md).
 
-    def fast_transmit(self, dgram: Datagram,
-                      params: TransportParams) -> Optional["Event"]:
+    def fast_transmit(self, dgram: Datagram, params: TransportParams,
+                      frames: int, leg: tuple) -> Optional["Event"]:
         """Carry a single uncontended datagram with O(1) events.
 
-        Returns the send event — firing with ``dgram.size`` after the
-        sender-side CPU overhead, exactly like ``USocket._send_proc`` —
-        or None when the fast path cannot engage (switched off, a burst,
-        a loopback, or a host pair :meth:`fast_clear` refuses): the
-        caller then uses the packet path unchanged.
+        ``frames`` and ``leg`` are the datagram's cost-table entry (see
+        :class:`CostTable`); bursts never come here.  Returns the send
+        event — firing with ``dgram.size`` after the sender-side CPU
+        overhead, exactly like ``USocket._send_proc`` — or None when the
+        fast path cannot engage (switched off, a loopback, or a host pair
+        :meth:`fast_clear` refuses): the caller then uses the packet path
+        unchanged.
         """
         src, dst = dgram.src, dgram.dst
         sim = self.sim
-        if not sim.fastpath or dgram.is_burst or src == dst \
+        if not sim.fastpath or src == dst \
                 or not self.fast_clear(params, src, dst, 0):
             return None
 
@@ -327,8 +377,6 @@ class Network:
         #   t_rx       RX engine released, loss point        (_rx_finish)
         #   t_dlv      receiver CPU done; datagram delivered (_rx_finish)
         size = dgram.size
-        frames = self.link.frames_for(size)
-        leg = self.leg(params, size, frames)
         cpu, tx_hold, switch, rx_hold, tail = leg
         t1 = sim.now + cpu
         t_arr = t1 + switch
@@ -337,7 +385,8 @@ class Network:
 
         pair = (src, dst)
         self._register(pair)
-        self.stats.add("fastpath.dgrams")
+        tally = self.stats.tally
+        tally["fastpath.dgrams"] += 1
 
         def stage_send(_evt):
             # t1: the NIC takes the datagram (packet path: _transmit entry)
@@ -346,20 +395,22 @@ class Network:
                 self.stats.add("tx.dropped.src_down")
                 self._release(pair)
                 return
-            self.stats.add("tx.datagrams", 1)
-            self.stats.add("tx.bytes", size)
-            self.stats.add("tx.frames", frames)
-            tx = nic.tx
-            if not tx.try_acquire():
+            tally["tx.datagrams"] += 1
+            tally["tx.bytes"] += size
+            tally["tx.frames"] += frames
+            if not nic.tx.try_acquire():
                 # the engine got busy since clearance: packet continuation
                 self.stats.add("fastpath.dgram_fallbacks")
                 sim.process(self._fallback(
                     self._transmit_tail(nic, dgram, params, leg), pair))
                 return
-            # the engine is ours without an event; release() below
+            # the engine is ours without an event; release() at t1+tx_hold
             # grants it on to anyone who queued meanwhile
-            sim.call_at(t1 + tx_hold, tx.release)
+            sim.at(t1 + tx_hold).callbacks.append(stage_tx_done)
             sim.at(t_arr).callbacks.append(stage_arrive)
+
+        def stage_tx_done(_evt):
+            self._nics[src].tx.release()
 
         def stage_arrive(_evt):
             # t_arr: leading frame at the receiver (packet: _rx_side checks)
@@ -368,7 +419,7 @@ class Network:
                 self.stats.add("rx.dropped.dst_down")
                 self._release(pair)
                 return
-            if not self.reachable(src, dst):
+            if self._partition is not None and not self.reachable(src, dst):
                 self.stats.add("rx.dropped.partitioned")
                 self._release(pair)
                 return
@@ -380,20 +431,19 @@ class Network:
             sim.at(t_rx).callbacks.append(stage_rx_done)
 
         def stage_rx_done(_evt):
-            # t_rx: serialization complete; the loss point.  _apply_loss
-            # is a no-op draw-for-draw match of the packet path: it only
-            # consumes RNG when a loss burst started mid-flight.
+            # t_rx: serialization complete; the loss point.  The transport
+            # is lossless (fast_clear), so only a loss burst that started
+            # mid-flight makes the packet path draw, and then so does this.
             self._nics[dst].rx.release()
-            survived = self._apply_loss(dgram, params)
-            if survived is None:
+            if self.extra_loss_prob > 0.0 \
+                    and self._apply_loss(dgram, params) is None:
                 self._release(pair)
                 return
-            sim.at(t_dlv).callbacks.append(
-                lambda _e, d=survived: stage_deliver(d))
+            sim.at(t_dlv).callbacks.append(stage_deliver)
 
-        def stage_deliver(d):
+        def stage_deliver(_evt):
             # t_dlv: receiver CPU charged; deliver() re-checks NIC state
-            self._nics[dst].deliver(d)
+            self._nics[dst].deliver(dgram)
             self._release(pair)
 
         evt = sim.at(t1, value=size)

@@ -74,7 +74,7 @@ class NIC:
 
     def deliver(self, dgram: "Datagram") -> None:
         """Hand a received datagram to the owning socket, if any."""
-        if self.down:
+        if self._down:
             self.stats.add("rx.dropped.down")
             return
         endpoint = self.endpoints.get(dgram.transport)
@@ -85,8 +85,9 @@ class NIC:
         if sock is None:
             self.stats.add("rx.dropped.no_port")
             return
-        self.stats.add("rx.datagrams", dgram.count)
-        self.stats.add("rx.bytes", dgram.size)
+        tally = self.stats.tally
+        tally["rx.datagrams"] += dgram.count
+        tally["rx.bytes"] += dgram.size
         sock._enqueue(dgram)
 
     def endpoint(self, transport: str) -> "TransportEndpoint":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 
-@dataclass
+@dataclass(slots=True)
 class Chunk:
     """One protocol chunk inside a burst: a sequence number plus payload.
 
@@ -37,7 +37,7 @@ class Chunk:
                 f"len(data)={len(self.data)}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Datagram:
     """A unit of transmission between two (addr, port) endpoints."""
 

@@ -128,7 +128,8 @@ class RpcClient:
         finally:
             if telemetry.enabled:
                 telemetry.rpc_end(self.sim)
-            tracer.end(self.sim, span)
+            if span is not None:
+                tracer.end(self.sim, span)
 
 
 class RpcServer:
@@ -232,5 +233,6 @@ class RpcServer:
             if not self.sock.closed:
                 yield self.sock.send(RPC_HEADER_SIZE, payload=reply, dst=src)
         finally:
-            tracer.end(self.sim, span,
-                       {"error": True} if "error" in reply else None)
+            if span is not None:
+                tracer.end(self.sim, span,
+                           {"error": True} if "error" in reply else None)

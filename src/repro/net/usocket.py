@@ -39,15 +39,19 @@ class SocketClosed(Exception):
 class TransportEndpoint:
     """One transport (UDP or U-Net) attached to one host's NIC."""
 
-    __slots__ = ("sim", "nic", "network", "params", "_ports", "_ephemeral",
-                 "sock_stats", "rpc_client_stats")
+    __slots__ = ("sim", "nic", "addr", "network", "params", "costs",
+                 "_ports", "_ephemeral", "sock_stats", "rpc_client_stats")
 
     def __init__(self, sim: Simulator, nic: "NIC", network: "Network",
                  params: TransportParams):
         self.sim = sim
         self.nic = nic
+        #: the host's address (its NIC's)
+        self.addr = nic.addr
         self.network = network
         self.params = params
+        #: what each datagram shape costs this transport on this network
+        self.costs = network.cost_table(params)
         self._ports: dict[int, "USocket"] = {}
         self._ephemeral = itertools.count(EPHEMERAL_BASE)
         #: the counters of every socket, and of every RPC client, this
@@ -56,10 +60,6 @@ class TransportEndpoint:
         self.sock_stats: Optional[Recorder] = None
         self.rpc_client_stats: Optional[Recorder] = None
         nic.register_endpoint(self)
-
-    @property
-    def addr(self) -> str:
-        return self.nic.addr
 
     def socket(self, port: Optional[int] = None, recvbuf: int = 256 * 1024,
                sendbuf: int = 256 * 1024) -> "USocket":
@@ -136,31 +136,40 @@ class USocket:
         target = dst or self.default_dst
         if target is None:
             raise ValueError("no destination: connect() first or pass dst=")
-        params = self.endpoint.params
+        endpoint = self.endpoint
+        params = endpoint.params
         if chunks:
             for c in chunks:
                 if c.size > params.max_payload:
                     raise ValueError(
                         f"chunk {c.seq} ({c.size} B) exceeds {params.name} "
                         f"max payload {params.max_payload}")
+            dgram = Datagram(endpoint.addr, self.port, target[0], target[1],
+                             size, params.name, payload, tuple(chunks))
+            frames_for = endpoint.network.link.frames_for
+            c0, cl = dgram.chunks[0].size, dgram.chunks[-1].size
+            shape = (size, sum(frames_for(c.size) for c in dgram.chunks),
+                     dgram.count, c0, frames_for(c0), cl, frames_for(cl))
         elif size > params.max_payload:
             raise ValueError(
                 f"datagram of {size} B exceeds {params.name} max payload "
                 f"{params.max_payload}")
-        dgram = Datagram(
-            src=self.endpoint.addr, sport=self.port,
-            dst=target[0], dport=target[1],
-            size=size, transport=params.name, payload=payload,
-            chunks=tuple(chunks))
-        self.stats.add("tx.datagrams", dgram.count)
-        self.stats.add("tx.bytes", size)
-        # Single uncontended datagrams take the flow-level fast path:
-        # same virtual timing, ~5 plain events instead of ~13 events
-        # across three processes (see Network.fast_transmit).
-        fast = self.endpoint.network.fast_transmit(dgram, params)
-        if fast is not None:
-            return fast
-        return self.sim.process(self._send_proc(dgram, params))
+        else:
+            dgram = Datagram(endpoint.addr, self.port, target[0], target[1],
+                             size, params.name, payload)
+            shape = size
+        tally = self.stats.tally
+        tally["tx.datagrams"] += dgram.count
+        tally["tx.bytes"] += size
+        frames, leg = endpoint.costs[shape]
+        if not chunks:
+            # Single uncontended datagrams take the flow-level fast path:
+            # same virtual timing, ~5 plain events instead of ~13 events
+            # across three processes (see Network.fast_transmit).
+            fast = endpoint.network.fast_transmit(dgram, params, frames, leg)
+            if fast is not None:
+                return fast
+        return self.sim.process(self._send_proc(dgram, params, frames, leg))
 
     def send_iovec(self, iov: Sequence[bytes],
                    dst: Optional[tuple[str, int]] = None) -> Event:
@@ -170,23 +179,12 @@ class USocket:
         data = b"".join(iov)
         return self.send(len(data), payload=data, dst=dst)
 
-    def _send_proc(self, dgram: Datagram, params: TransportParams):
-        # The datagram's cost, computed once for the whole packet path.
-        network = self.endpoint.network
-        frames_for = network.link.frames_for
-        size = dgram.size
-        if dgram.is_burst:
-            chunks = dgram.chunks
-            frames = sum(frames_for(c.size) for c in chunks)
-            c0, cl = chunks[0].size, chunks[-1].size
-            leg = network.leg(params, size, frames, dgram.count,
-                              c0, frames_for(c0), cl, frames_for(cl))
-        else:
-            frames = frames_for(size)
-            leg = network.leg(params, size, frames)
+    def _send_proc(self, dgram: Datagram, params: TransportParams,
+                   frames: int, leg: tuple):
+        # packet path: the sender's CPU, then the wire
         yield self.sim.timeout(leg[0])
-        network.transmit(dgram, params, frames, leg)
-        return size
+        self.endpoint.network.transmit(dgram, params, frames, leg)
+        return dgram.size
 
     # -- receiving -----------------------------------------------------------------
     def recv(self, timeout: Optional[float] = None) -> Event:
@@ -204,8 +202,9 @@ class USocket:
             dgram = get._value
             if dgram is not None:
                 self._queued_bytes -= dgram.size
-                self.stats.add("rx.datagrams", dgram.count)
-                self.stats.add("rx.bytes", dgram.size)
+                tally = self.stats.tally
+                tally["rx.datagrams"] += dgram.count
+                tally["rx.bytes"] += dgram.size
             return get
         self._pending_recvs += 1
         return self.sim.process(self._recv_proc(timeout))
@@ -230,8 +229,9 @@ class USocket:
         if dgram is None:  # close sentinel
             return None
         self._queued_bytes -= dgram.size
-        self.stats.add("rx.datagrams", dgram.count)
-        self.stats.add("rx.bytes", dgram.size)
+        tally = self.stats.tally
+        tally["rx.datagrams"] += dgram.count
+        tally["rx.bytes"] += dgram.size
         return dgram
 
     def _enqueue(self, dgram: Datagram) -> None:

@@ -600,14 +600,15 @@ class Simulator:
             # The stop event's callbacks added after this run began (a
             # process that yielded it meanwhile) come after _stop_run:
             # run them now, in order, as the rest of its dispatch.  The
-            # dispatch stays uncounted, as it always was.  A second
-            # _stop_run (the event was the stop of an earlier run that
-            # drained first) has nothing left to stop.
+            # dispatch stays uncounted, as it always was.
             for cb in callbacks[callbacks.index(_stop_run) + 1:]:
-                if cb is not _stop_run:
-                    cb(event)
+                cb(event)
         finally:
             self.events_processed += processed
+            if stop_evt is not None and stop_evt.callbacks is not None:
+                # Leaving before the stop event fired (the queue drained
+                # or a failure escaped): a later run must not stop there.
+                stop_evt.callbacks.remove(_stop_run)
         if horizon != float("inf") and self._now < horizon:
             self._now = horizon
         if stop_evt is not None:

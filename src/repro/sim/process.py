@@ -8,6 +8,8 @@ generator returns, so processes can wait on each other.
 
 from __future__ import annotations
 
+from functools import partial
+from types import GeneratorType
 from typing import Any, Generator, Optional
 
 from repro.sim.errors import Interrupt, SimulationError
@@ -26,7 +28,8 @@ class Process(Event):
     __slots__ = ("_generator", "_target", "pid", "trace_parent", "_rcb")
 
     def __init__(self, sim: Simulator, generator: Generator[Event, Any, Any]):
-        if not hasattr(generator, "send"):
+        if generator.__class__ is not GeneratorType \
+                and not hasattr(generator, "send"):
             raise TypeError(f"Process needs a generator, got {generator!r}")
         # A process is spawned per request and per message, so this
         # process and its bootstrap are built field by field, without
@@ -165,21 +168,26 @@ class _Condition(Event):
     __slots__ = ("_events", "_done")
 
     def __init__(self, sim: Simulator, events: list[Event]):
-        super().__init__(sim)
+        # One is built per timed receive, so field by field, like Process.
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self.defused = False
         self._events = events
         self._done = 0
         if not events:
             self.succeed(self._finish_value())
             return
+        child_done = self._child_done
         for idx, evt in enumerate(events):
             if evt.callbacks is None:
-                self._child_done(idx, evt)
+                child_done(idx, evt)
             else:
-                evt.callbacks.append(
-                    lambda e, i=idx: self._child_done(i, e))
+                evt.callbacks.append(partial(child_done, idx))
 
     def _child_done(self, idx: int, evt: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not evt._ok:
             evt.defused = True
@@ -187,7 +195,7 @@ class _Condition(Event):
         else:
             self._done += 1
             self._on_child(idx, evt)
-            if not self.triggered:
+            if self._value is _PENDING:
                 return
         # A child still pending holds this condition through its
         # callback; dropping the children once triggered (nothing reads

@@ -64,7 +64,7 @@ class Resource:
         """Take a unit now if :attr:`idle`, without an event; returns
         whether it was taken.  Give it back with :meth:`release`.  The
         fast paths reserve an engine or the disk arm this way."""
-        if self.idle:
+        if self._in_use < self.capacity and not self._waiters:  # idle
             self._in_use += 1
             return True
         return False

@@ -143,6 +143,46 @@ def test_run_until_event_never_fires_is_error():
         sim.run(until=evt)
 
 
+def _fire_then_wait(sim, evt):
+    """A process that fires ``evt`` at t=2 and then waits until t=3."""
+    def proc():
+        yield sim.timeout(2.0 - sim.now)
+        evt.succeed()
+        yield sim.timeout(1.0)
+    sim.process(proc())
+
+
+def test_drained_run_until_event_does_not_stop_a_later_run():
+    """A run(until=evt) that drains before evt fires leaves no stop on it:
+    a later plain run() goes on past evt to the last queued event."""
+    sim = Simulator()
+    evt = sim.event()
+    with pytest.raises(SimulationError, match="never fired"):
+        sim.run(until=evt)
+    _fire_then_wait(sim, evt)
+    sim.run()
+    assert sim.now == 3.0
+    assert sim.peek() == float("inf")
+
+
+def test_failed_run_until_event_does_not_stop_a_later_run():
+    """Likewise when an unhandled failure ends run(until=evt) early."""
+    sim = Simulator()
+    evt = sim.event()
+
+    def crash():
+        yield sim.timeout(1.0)
+        raise ValueError("crash")
+
+    sim.process(crash())
+    with pytest.raises(ValueError, match="crash"):
+        sim.run(until=evt)
+    _fire_then_wait(sim, evt)
+    sim.run()
+    assert sim.now == 3.0
+    assert sim.peek() == float("inf")
+
+
 def test_run_until_failed_event_raises():
     sim = Simulator()
 
