@@ -639,20 +639,22 @@ class CentralManager:
             if int(reply["epoch"]) != iwd.epoch:
                 continue
             hosted = sorted(int(off) for off, _ in reply["regions"])
+            if not hosted:
+                continue
+            placed = self._placed_on(host)
             for off in hosted:
                 live = self.iwd.get(host)
                 if live is None or live.epoch != iwd.epoch:
                     break
-                if any(e.struct.host == host
-                       and e.struct.epoch == iwd.epoch
-                       and e.struct.pool_offset == off
-                       for e in self.rd.values()):
+                if (iwd.epoch, off) in placed:
                     continue
                 tag = (host, iwd.epoch, off)
                 if free and tag in suspects:
                     yield from self._imd_call(
                         iwd, "free", {"region_id": off})
                     freed += 1
+                    # the directory may have changed during the call
+                    placed = self._placed_on(host)
                 else:
                     seen.add(tag)
         yield from self._repl_flush()
@@ -663,6 +665,12 @@ class CentralManager:
                                        host=self.ws.name,
                                        shard=self.shard_id, regions=freed)
         return seen
+
+    def _placed_on(self, host: str) -> set:
+        """``(epoch, pool_offset)`` of every region the directory places
+        on ``host``."""
+        return {(e.struct.epoch, e.struct.pool_offset)
+                for e in self.rd.values() if e.struct.host == host}
 
     # -- imd-facing handlers ---------------------------------------------------------
     def _h_imd_register(self, args: dict, src) -> dict:

@@ -634,9 +634,11 @@ class DescriptorCache:
     but each worker may only pin a handful of descriptors; uncached keys
     cost a directory round-trip (``mlookup``, falling back to ``mopen``)
     — which is exactly the per-request manager load that sharding the
-    directory is meant to relieve.  Evicting an entry only forgets the
-    *descriptor*; the remote region itself stays where it is (regions in
-    the serving tier are opened persistently).
+    directory is meant to relieve.  Evicting an entry forgets the
+    *descriptor*, here and in the runtime's table
+    (:meth:`DodoRuntime.forget`), so a runtime holds at most ``capacity``
+    of them however many keys miss; the remote region itself stays where
+    it is (regions in the serving tier are opened persistently).
     """
 
     def __init__(self, runtime: DodoRuntime, capacity: int):
@@ -662,7 +664,7 @@ class DescriptorCache:
         key = (fd, offset)
         desc = self._entries.get(key)
         if desc is not None:
-            if self.runtime._entry(desc) is not None:
+            if self.runtime.holds(desc):
                 self._entries.move_to_end(key)
                 self.stats.add("hits")
                 return desc, 0
@@ -678,5 +680,5 @@ class DescriptorCache:
             return -1, err
         self._entries[key] = desc
         if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            self.runtime.forget(self._entries.popitem(last=False)[1])
         return desc, 0

@@ -215,6 +215,16 @@ class DodoRuntime:
     def _entry(self, desc: int) -> Optional[RegionTableEntry]:
         return self._regions.get(desc)
 
+    def holds(self, desc: int) -> bool:
+        """True while ``desc`` is in this library's descriptor table."""
+        return desc in self._regions
+
+    def forget(self, desc: int) -> None:
+        """Drop ``desc`` from the descriptor table locally, with no
+        manager call: the region stays in remote memory, as after
+        ``detach(persist=True)``, and a later ``mlookup`` finds it."""
+        self._regions.pop(desc, None)
+
     def drop_host(self, host: str) -> int:
         """Drop every descriptor for regions on ``host`` (Section 3.1:
         the library's reaction to any access failure on that node)."""

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.metrics.recorder import Recorder
 from repro.net.packet import Chunk, Datagram
 from repro.net.params import TransportParams
-from repro.sim import AnyOf, Event, Simulator, Store
+from repro.sim import AnyOf, Event, Process, Simulator, Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
@@ -192,14 +192,13 @@ class USocket:
         or socket close (paper: ``u_recv`` takes an explicit timeout)."""
         if self.closed:
             raise SocketClosed(f"recv on closed socket {self.port}")
-        queue = self._queue
-        if queue._items:
+        taken = self._queue.take()
+        if taken is not None:
             # Data already queued: resolve synchronously on the already-
             # triggered get event instead of spawning a process (the
             # caller still resumes at the current instant, exactly as on
             # the process path — the get fires on the next dispatch).
-            get = queue.get()
-            dgram = get._value
+            get, dgram = taken
             if dgram is not None:
                 self._queued_bytes -= dgram.size
                 tally = self.stats.tally
@@ -207,7 +206,8 @@ class USocket:
                 tally["rx.bytes"] += dgram.size
             return get
         self._pending_recvs += 1
-        return self.sim.process(self._recv_proc(timeout))
+        # built directly: sim.process() would add a call to every receive
+        return Process(self.sim, self._recv_proc(timeout))
 
     def _recv_proc(self, timeout: Optional[float]):
         get = self._queue.get()

@@ -8,7 +8,6 @@ generator returns, so processes can wait on each other.
 
 from __future__ import annotations
 
-from functools import partial
 from types import GeneratorType
 from typing import Any, Generator, Optional
 
@@ -163,7 +162,17 @@ class Process(Event):
 
 
 class _Condition(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
+    """Shared machinery for :class:`AllOf` / :class:`AnyOf`.
+
+    Every pending child carries one callback, this condition's bound
+    :meth:`_child_done`, which finds the child's index by identity in
+    ``_events``.  Once the condition triggers it takes that callback back
+    from every child still pending, so a losing child (the timeout of a
+    timed receive) holds nothing of it: the condition, its value and the
+    reply that value carries die when the waiter resumes, not when the
+    loser fires.  A loser that fails later has no callback, so the run
+    loop raises its failure, as for any event nobody waits on.
+    """
 
     __slots__ = ("_events", "_done")
 
@@ -180,29 +189,37 @@ class _Condition(Event):
             self.succeed(self._finish_value())
             return
         child_done = self._child_done
-        for idx, evt in enumerate(events):
-            if evt.callbacks is None:
-                child_done(idx, evt)
+        for evt in events:
+            cbs = evt.callbacks
+            if cbs is not None:
+                cbs.append(child_done)
             else:
-                evt.callbacks.append(partial(child_done, idx))
+                child_done(evt)
+                if self._events is None:
+                    return  # triggered: wait on no later child
 
-    def _child_done(self, idx: int, evt: Event) -> None:
+    def _child_done(self, evt: Event) -> None:
         if self._value is not _PENDING:
-            return
+            return  # a child listed twice, firing after its first entry
         if not evt._ok:
             evt.defused = True
             self.fail(evt._value)
         else:
             self._done += 1
-            self._on_child(idx, evt)
+            self._on_child(evt)
             if self._value is _PENDING:
                 return
-        # A child still pending holds this condition through its
-        # callback; dropping the children once triggered (nothing reads
-        # them after that) keeps that from closing a reference cycle.
+        done = self._child_done
+        for child in self._events:
+            cbs = child.callbacks
+            if cbs is not None:
+                try:
+                    cbs.remove(done)
+                except ValueError:
+                    pass  # listed after the child it triggered on when built
         self._events = None
 
-    def _on_child(self, idx: int, evt: Event) -> None:  # pragma: no cover
+    def _on_child(self, evt: Event) -> None:  # pragma: no cover
         raise NotImplementedError
 
     def _finish_value(self) -> Any:  # pragma: no cover
@@ -217,7 +234,7 @@ class AllOf(_Condition):
 
     __slots__ = ()
 
-    def _on_child(self, idx: int, evt: Event) -> None:
+    def _on_child(self, evt: Event) -> None:
         if self._done == len(self._events):
             self.succeed(self._finish_value())
 
@@ -230,8 +247,9 @@ class AnyOf(_Condition):
 
     __slots__ = ()
 
-    def _on_child(self, idx: int, evt: Event) -> None:
-        self.succeed((idx, evt._value))
+    def _on_child(self, evt: Event) -> None:
+        # Events compare by identity, so index() finds this very child.
+        self.succeed((self._events.index(evt), evt._value))
 
     def _finish_value(self) -> Any:
         return None

@@ -180,12 +180,23 @@ class Store:
             evt._ok = True
             evt._value = items.popleft()
             sim._lane.append(evt)
-            self._admit_putter()
+            if self._putters:
+                self._admit_putter()
         else:
             evt._ok = None
             evt._value = _PENDING
             self._park(evt)
         return evt
+
+    def take(self) -> Optional[tuple[Event, Any]]:
+        """Take the oldest queued item now, without parking a get:
+        ``(get, item)`` with ``get`` already triggered with ``item`` (it
+        fires on the next dispatch, like any :meth:`get`), or ``None``
+        when the store is empty."""
+        if not self._items:
+            return None
+        evt = self.get()
+        return evt, evt._value
 
     def cancel(self, evt: Event) -> bool:
         """Withdraw a pending get; returns True if it was still queued."""
@@ -300,3 +311,9 @@ class PriorityStore(Store):
         else:
             self._park(evt)
         return evt
+
+    def take(self) -> Optional[tuple[Event, Any]]:
+        if not self._heap:
+            return None
+        evt = self.get()
+        return evt, evt._value

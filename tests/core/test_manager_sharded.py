@@ -7,22 +7,25 @@ over on a primary crash without losing a region, and the cross-shard
 auditor stays green throughout.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import DodoConfig
+from repro.core.manager import RdEntry
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.testing import make_backing_file
 
 REGION = 64 * 1024
 
 
-def make_sharded(sim, shards=2, replication=True, n_hosts=4):
+def make_sharded(sim, shards=2, replication=True, n_hosts=4, **config):
     params = PlatformParams(
         n_memory_hosts=n_hosts, imd_pool_bytes=2 * MB,
         local_cache_bytes=256 * 1024, app_fs_cache_dodo=1 * MB,
         disk_capacity_bytes=256 * MB)
     cfg = DodoConfig(shards=shards, replication=replication,
-                     rpc_backoff_s=0.02, imd_reregister_s=2.0)
+                     rpc_backoff_s=0.02, imd_reregister_s=2.0, **config)
     return Platform(sim, params, dodo=True, config=cfg)
 
 
@@ -193,3 +196,94 @@ def test_backup_has_its_own_telemetry_identity(scenario):
             assert times[-1] == end
             if sid in crashes:  # sampled again after the failover gap
                 assert any(t > crashes[sid] for t in times)
+
+
+def brute_force_orphans(cmd, imds) -> set:
+    """``(host, epoch, offset)`` of every region an imd hosts for the
+    manager's shard that no directory entry references: the scrub's
+    check, one scan of the whole directory per hosted offset."""
+    orphans = set()
+    for imd in imds:
+        host = imd.ws.name
+        iwd = cmd.iwd.get(host)
+        if iwd is None or iwd.epoch != imd.epoch:
+            continue
+        inventory = imd._h_inventory({"shard": cmd.shard_id}, None)
+        for off, _ in inventory["regions"]:
+            if not any(e.struct.host == host and e.struct.epoch == iwd.epoch
+                       and e.struct.pool_offset == off
+                       for e in cmd.rd.values()):
+                orphans.add((host, iwd.epoch, off))
+    return orphans
+
+
+def test_scrub_pass_matches_the_brute_force_check(sim):
+    """One scrub pass finds exactly the orphans the brute-force check
+    finds on a directory with freed, moved and re-placed regions, and it
+    re-reads the directory after each free: a region the directory comes
+    to reference while a free call to its host is in flight stays."""
+    plat = make_sharded(sim, scrub_interval_s=0.0)  # passes run by hand
+    rt = plat.runtime()
+    fd = make_backing_file(plat, size=2 * MB)
+
+    def populate():
+        descs = yield from open_regions(rt, fd, 16)
+        for d in descs[:2]:  # freed through the directory: no orphan
+            _, err = yield from rt.mclose(d)
+            assert err == 0
+
+    sim.run(until=sim.process(populate()))
+    cmd = plat.live_primary(0)
+    by_host = {}
+    for key, entry in cmd.rd.items():
+        by_host.setdefault(entry.struct.host, []).append(key)
+    host = max(by_host, key=lambda h: (len(by_host[h]), h))
+    here = sorted(by_host[host], key=lambda k: cmd.rd[k].struct.pool_offset)
+    other = next(k for h, ks in sorted(by_host.items()) if h != host
+                 for k in ks)
+    assert len(here) >= 3
+    # freed: two entries went, but their frees never reached the imd
+    gone = cmd.rd.pop(here[0])
+    cmd.rd.pop(here[1])
+    # moved: from another host onto the first freed region's place
+    cmd.rd[other].struct = gone.struct
+    # re-placed under a later epoch of the same host and offset
+    replaced = cmd.rd[here[-1]]
+    replaced.struct = replace(replaced.struct,
+                              epoch=replaced.struct.epoch + 1)
+    expected = brute_force_orphans(cmd, plat.imds)
+    assert len(expected) == 3
+
+    def mark():
+        return (yield from cmd._scrub_pass(set(), free=False))
+
+    suspects = sim.run(until=sim.process(mark()))
+    assert suspects == expected
+
+    # once the first free to that host is out, a client re-places its
+    # last orphan in pass order: the pass must see that and keep it
+    last = max(tag for tag in suspects if tag[0] == host)
+    raced = []
+    imd_call = cmd._imd_call
+
+    def racing_imd_call(iwd, method, args):
+        reply = yield from imd_call(iwd, method, args)
+        if method == "free" and iwd.host == host and not raced:
+            raced.append(args["region_id"])
+            cmd.rd[here[1]] = RdEntry(
+                struct=replace(gone.struct, epoch=last[1],
+                               pool_offset=last[2]), owner=None)
+        return reply
+
+    cmd._imd_call = racing_imd_call
+
+    def sweep():
+        return (yield from cmd._scrub_pass(suspects))
+
+    assert sim.run(until=sim.process(sweep())) == set()
+    assert raced and raced[0] < last[2]
+    assert cmd.stats.count("scrub.freed") == 2
+    assert brute_force_orphans(cmd, plat.imds) == set()
+    hosted = {(i.ws.name, i.epoch, off) for i in plat.imds
+              for off, _ in i._h_inventory({"shard": 0}, None)["regions"]}
+    assert last in hosted and not (expected - {last}) & hosted

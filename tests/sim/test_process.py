@@ -1,6 +1,7 @@
 """Unit tests for processes, interrupts and condition events."""
 
 import gc
+import weakref
 
 import pytest
 
@@ -281,6 +282,104 @@ def test_anyof_with_already_done_child():
         return idx, val
 
     assert sim.run(until=sim.process(waiter())) == (0, "instant")
+
+
+def live(cls) -> int:
+    """Instances of ``cls`` that nothing has freed yet."""
+    return sum(1 for obj in gc.get_objects() if obj.__class__ is cls)
+
+
+class Reply:
+    """A payload a weak reference can watch."""
+
+
+def test_fired_anyof_withdraws_from_its_losing_timeout():
+    """The timed-receive race: once the get wins, the timeout carries no
+    callback, so the condition and the reply in its value die when the
+    waiter drops them, not when the timeout fires a second later."""
+    with collector_off():
+        sim = Simulator()
+        store = Store(sim)
+        timeout = sim.timeout(1.0)
+        got = []
+
+        def waiter():
+            idx, reply = yield AnyOf(sim, [store.get(), timeout])
+            got.append((idx, weakref.ref(reply)))
+
+        sim.process(waiter())
+        store.put(Reply())
+        sim.run(until=0.5)
+        assert got[0][0] == 0
+        assert timeout.callbacks == []
+        assert live(AnyOf) == 0
+        assert got[0][1]() is None  # the reply died with the condition
+        sim.run()
+
+
+def test_failed_allof_withdraws_from_pending_siblings():
+    sim = Simulator()
+    slow = sim.timeout(5.0)
+    bad = sim.event()
+
+    def waiter():
+        try:
+            yield AllOf(sim, [slow, bad])
+        except ValueError:
+            return "failed fast"
+
+    proc = sim.process(waiter())
+    bad.fail(ValueError("child failed"))
+    assert sim.run(until=proc) == "failed fast"
+    assert slow.callbacks == []
+
+
+def test_loser_failing_after_its_condition_fired_still_raises():
+    """Withdrawing leaves a loser with no waiter, so its later failure is
+    unhandled and surfaces from run(), as it did while the fired
+    condition's callback ignored it."""
+    sim = Simulator()
+    loser = sim.event()
+    cond = AnyOf(sim, [sim.timeout(1.0), loser])
+    assert sim.run(until=cond) == (0, None)
+    assert loser.callbacks == []
+    loser.fail(ValueError("late"))
+    with pytest.raises(ValueError, match="late"):
+        sim.run()
+
+
+def test_condition_on_a_processed_child_registers_on_no_later_child():
+    sim = Simulator()
+    done = sim.event()
+    done.succeed("instant")
+    sim.run()  # process it
+    later = sim.timeout(10.0)
+    cond = AnyOf(sim, [later, done, later])
+    assert later.callbacks == []
+    assert sim.run(until=cond) == (1, "instant")
+    failed = sim.event()
+    failed.fail(ValueError("processed failure"))
+    failed.defused = True
+    sim.run()
+    pending = sim.event()
+    allof = AllOf(sim, [failed, pending])
+    assert pending.callbacks == []
+    assert not allof.ok
+
+
+def test_child_listed_twice():
+    sim = Simulator()
+    twice = sim.timeout(1.0, value="v")
+    anyof = AnyOf(sim, [twice, twice])
+    allof = AllOf(sim, [twice, twice])
+    sim.run(until=allof)
+    assert anyof.value == (0, "v")
+    assert allof.value == ["v", "v"]
+    # a pending child listed twice is withdrawn from twice
+    pending = sim.event()
+    cond = AnyOf(sim, [sim.timeout(1.0), pending, pending])
+    assert sim.run(until=cond) == (0, None)
+    assert pending.callbacks == []
 
 
 def test_nested_processes_deep_chain():

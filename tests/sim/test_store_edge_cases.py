@@ -18,6 +18,25 @@ def test_bounded_store_putter_admitted_after_cancel():
     assert store.items == ("b",)
 
 
+def test_store_take_pops_without_parking():
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    assert store.take() is None       # empty: nothing parked either
+    store.put("a")
+    blocked = store.put("b")
+    get, item = store.take()
+    assert item == "a" and get.triggered and get.value == "a"
+    assert blocked.triggered          # "b" admitted when space opened
+    assert store.items == ("b",)
+    later = store.put("c")
+    assert not later.triggered        # the empty take parked no get
+    ps = PriorityStore(sim)
+    assert ps.take() is None
+    ps.put(5)
+    ps.put(2)
+    assert ps.take()[1] == 2
+
+
 def test_store_put_wakes_getter_directly_bypassing_queue():
     sim = Simulator()
     store = Store(sim, capacity=1)

@@ -96,3 +96,58 @@ def test_sweep_adapter_registered():
                        n_keys=32)))
     assert result["completed"] > 0
     assert result["seed"] == 21
+
+
+def test_finished_waits_keep_no_condition_alive():
+    """A timed receive's condition dies when its waiter resumes: with the
+    collector off, so that only reference counting frees anything, no
+    fired ``AnyOf`` outlives the run (its losing timeout, still queued,
+    holds no callback)."""
+    import gc
+
+    from repro.sim import AnyOf
+    from repro.testing import collector_off
+
+    with collector_off():
+        r = run_serving(n_shards=2, duration_s=0.3, n_keys=64,
+                        arrival_rate=200.0)
+        assert r["completed"] > 0
+        resumed = [obj for obj in gc.get_objects()
+                   if obj.__class__ is AnyOf and obj.processed]
+        assert resumed == []
+
+
+def test_descriptor_cache_evictions_leave_the_runtime_table():
+    """Each miss past capacity evicts one descriptor from the cache and
+    from the runtime's table; the region stays in remote memory, so the
+    evicted key's next miss finds it again with a lookup."""
+    from repro.core.regionlib import DescriptorCache
+    from repro.sim import Simulator
+    from repro.testing import make_backing_file, make_platform, run
+
+    sim = Simulator(seed=11)
+    platform = make_platform(sim)
+    runtime = platform.runtime()
+    fd = make_backing_file(platform)
+    capacity, misses, region = 3, 8, 64 * 1024
+    cache = DescriptorCache(runtime, capacity)
+
+    def open_all():
+        for i in range(misses):
+            _, err = yield from cache.open(region, fd, i * region)
+            assert err == 0
+
+    run(sim, open_all())
+    assert cache.stats.count("misses") == misses
+    assert len(cache) == capacity
+    assert runtime.open_regions == capacity
+    assert runtime.stats.count("mopen.ok") == misses
+
+    def reopen_first():
+        _, err = yield from cache.open(region, fd, 0)
+        assert err == 0
+
+    run(sim, reopen_first())
+    assert runtime.stats.count("mlookup.hit") == 1
+    assert runtime.stats.count("mopen.ok") == misses
+    assert runtime.open_regions == capacity

@@ -26,6 +26,15 @@ own block and not what it holds, and an instance's attribute values are
 not counted at all unless it has slots, which is why the RSS figure is
 the one to compare.
 
+Last of all it prints the events still queued on each simulator when its
+last ``Simulator.run`` call returned, by class: how many there are, how
+many still carry callbacks, and what each callback is bound to (the
+class and method of a bound method, the same inside a ``partial``).  A
+queued event's callbacks keep their objects alive until it fires, so a
+wait that outlives its purpose (a losing timeout still holding its
+condition) shows up here by name, without tracemalloc.  The second pass
+records these, so the timed pass stays as it was.
+
 cProfile and ``perfbench/layertrace.py`` cannot see this cost: a
 collection runs inside whichever call happened to allocate, and is
 charged to that frame.  The script times the build phase as perfbench's
@@ -43,6 +52,7 @@ import gc
 import importlib
 import os
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
@@ -148,24 +158,67 @@ def timed_pass(wl, module, params) -> tuple[GcClock, float, float, dict,
     return clock, wall_s, build_s, kept, rss
 
 
-def census_pass(wl, module, params) -> tuple[Counter, int]:
+def callback_label(cb) -> str:
+    """What a queued event's callback is bound to: ``Class.method`` for a
+    bound method, ``partial(...)`` around that for a partial, else the
+    callable's own name."""
+    if isinstance(cb, functools.partial):
+        return f"partial({callback_label(cb.func)})"
+    owner = getattr(cb, "__self__", None)
+    if owner is not None:
+        return f"{type(owner).__qualname__}.{cb.__name__}"
+    return getattr(cb, "__qualname__", type(cb).__qualname__)
+
+
+def queue_census(sim) -> dict[str, list]:
+    """The events queued on ``sim``, by class name: ``[count, how many
+    carry callbacks, Counter of their callback labels]``."""
+    table: dict[str, list] = {}
+    for evt in sim.queued():
+        row = table.setdefault(type(evt).__qualname__, [0, 0, Counter()])
+        row[0] += 1
+        if evt.callbacks:
+            row[1] += 1
+            row[2].update(callback_label(cb) for cb in evt.callbacks)
+    return table
+
+
+def census_pass(wl, module, params) -> tuple[Counter, int, list]:
     """Run the experiment again under ``DEBUG_SAVEALL``.  Return the
     garbage the collector found during the call, counted by type name,
-    and the number of objects a final collection finds after it (the
-    finished platforms, whose object graphs are cyclic by design)."""
+    the number of objects a final collection finds after it (the
+    finished platforms, whose object graphs are cyclic by design), and
+    each simulator's :func:`queue_census` as its last ``run`` call
+    returned, in the order the simulators first ran."""
+    from repro.sim import Simulator
+
+    queues: dict[int, dict] = {}
+    serials: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    run = Simulator.run
+
+    @functools.wraps(run)
+    def recorded_run(sim, *args, **kwargs):
+        try:
+            return run(sim, *args, **kwargs)
+        finally:
+            serial = serials.setdefault(sim, len(queues))
+            queues[serial] = queue_census(sim)
+
     settle()
     gc.garbage.clear()
     gc.set_debug(gc.DEBUG_SAVEALL)
+    Simulator.run = recorded_run
     try:
         wl.run(module, params)
         during = len(gc.garbage)
         settle()
     finally:
+        Simulator.run = run
         gc.set_debug(0)
     found = Counter(type(obj).__qualname__ for obj in gc.garbage[:during])
     after = len(gc.garbage) - during
     gc.garbage.clear()
-    return found, after
+    return found, after, [queues[k] for k in sorted(queues)]
 
 
 def report_kept(kept: dict, rss: int) -> None:
@@ -187,6 +240,28 @@ def report_kept(kept: dict, rss: int) -> None:
               f"  {type_name}")
     print(f"  {count:>10d}{size:>12d}{count / hosts:>10.2f}"
           f"{size / hosts:>9.0f}  all types")
+
+
+def report_queued(queues: list) -> None:
+    """Print the events still queued when each simulator's run ended,
+    summed over the simulators, by class."""
+    total: dict[str, list] = {}
+    for table in queues:
+        for cls, (n, with_cbs, labels) in table.items():
+            row = total.setdefault(cls, [0, 0, Counter()])
+            row[0] += n
+            row[1] += with_cbs
+            row[2].update(labels)
+    count = sum(n for n, _, _ in total.values())
+    print(f"  events still queued when the run ends: {count} in "
+          f"{len(queues)} simulators")
+    print(f"  {'queued':>10s}{'callbacks':>11s}  class: callbacks bound to")
+    for cls, (n, with_cbs, labels) in sorted(
+            total.items(), key=lambda kv: (-kv[1][0], kv[0])):
+        bound = ", ".join(f"{label} x{k}"
+                          for label, k in labels.most_common())
+        print(f"  {n:>10d}{with_cbs:>11d}  {cls}" +
+              (f": {bound}" if bound else ""))
 
 
 def report(name: str, seed: int, clock: GcClock, wall_s: float,
@@ -222,9 +297,10 @@ def main(argv=None) -> int:
     params = wl.params(args.seed)
     module = importlib.import_module(wl.module)
     clock, wall_s, build_s, kept, rss = timed_pass(wl, module, params)
-    garbage, after = census_pass(wl, module, params)
+    garbage, after, queues = census_pass(wl, module, params)
     report(wl.name, args.seed, clock, wall_s, build_s, garbage, after)
     report_kept(kept, rss)
+    report_queued(queues)
     return 0
 
 
