@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from repro.core.manager import PLACEMENTS
+from repro.core.config import PLACEMENTS
 from repro.core.policy import POLICIES
 from repro.faults.chaos import EXPERIMENTS as CHAOS_EXPERIMENTS
 from repro.obs.fleet.whatif import SCENARIOS

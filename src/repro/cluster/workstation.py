@@ -29,6 +29,9 @@ from repro.storage.filesystem import FileSystem, FsParams
 
 MB = 1024 * 1024
 KB_TO_BYTES = 1024
+#: share of installed memory an imd leaves for files likely to be opened
+#: soon when it sizes its pool (Section 3.1)
+HEADROOM_FRACTION = 0.15
 
 
 @dataclass(slots=True)
@@ -227,10 +230,10 @@ class Workstation:
         return max(0, self.mem.total - self.mem.kernel - self.mem.process
                    - self.filecache_bytes - self.guest_memory)
 
-    def recruitable_memory(self, headroom_fraction: float = 0.15) -> int:
+    def recruitable_memory(self) -> int:
         """How much an imd may pin: available minus the 15% headroom the
         paper reserves for files likely to be opened soon (Section 3.1)."""
-        headroom = int(self.mem.total * headroom_fraction)
+        headroom = int(self.mem.total * HEADROOM_FRACTION)
         return max(0, self.available_memory() - headroom)
 
     # -- failure injection ----------------------------------------------------------

@@ -1,8 +1,10 @@
 """All tunables of the Dodo system in one place.
 
-Defaults follow the paper where it gives numbers (15% headroom, 0.3 load
-threshold, five-minute idle window, 100 MB imd pools in the evaluation,
-80 MB local region cache) and sensible engineering values elsewhere.
+:class:`DodoConfig` holds the settings some caller sets; the fixed
+timings and budgets of the control plane are the named constants below.
+Defaults follow the paper where it gives numbers (0.3 load threshold,
+five-minute idle window, 100 MB imd pools in the evaluation, 80 MB local
+region cache) and sensible engineering values elsewhere.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.idleness import IdlePolicy
-from repro.net.bulk import BulkParams
 
 MB = 1024 * 1024
 
@@ -18,6 +19,31 @@ MB = 1024 * 1024
 CMD_PORT = 6000
 IMD_PORT = 6001
 RMD_PORT = 6002
+
+#: keep-alive echo interval from the central manager to client
+#: libraries; a client silent for the threshold has its regions
+#: reclaimed (Section 3.1 fault handling)
+KEEPALIVE_INTERVAL_S = 5.0
+KEEPALIVE_THRESHOLD_S = 15.0
+#: backup -> primary liveness-probe interval, and the consecutive missed
+#: probes after which the backup promotes itself
+REPL_HEARTBEAT_S = 0.5
+REPL_PROMOTE_MISSES = 2
+#: routing attempts a client or imd makes across a shard's replicas
+#: before giving up (bounds retry storms during failover)
+SHARD_ATTEMPTS = 8
+#: RPC timeout and retries for control operations
+RPC_TIMEOUT_S = 0.25
+RPC_RETRIES = 6
+#: manager->imd probing is less patient: a dead host must not eat the
+#: whole client window before the manager tries the next candidate
+IMD_RPC_RETRIES = 2
+#: period of the imd's fragmentation-coalescing sweep (Section 4.2)
+COALESCE_INTERVAL_S = 30.0
+#: regions one hotspot-aware reclaim may migrate, beside the byte budget
+#: :attr:`CacheConfig.migrate_max_bytes`: together they keep the
+#: busy-notification RPC well inside the rmd's retry window
+MIGRATE_MAX_REGIONS = 8
 
 #: placement policies accepted by :attr:`DodoConfig.placement`
 PLACEMENTS = ("random", "most-free", "round-robin")
@@ -44,20 +70,27 @@ class CacheConfig:
     #: migrates its hottest regions to other donors over the bulk fast
     #: path (bounded below) instead of letting reclaim evict them
     migration: bool = False
-    #: per-reclaim migration budget — keeps the busy-notification RPC
+    #: per-reclaim migration byte budget (with
+    #: :data:`MIGRATE_MAX_REGIONS`) — keeps the busy-notification RPC
     #: well inside the rmd's retry window, so the owner's reclaim delay
     #: stays bounded even with migration on
-    migrate_max_regions: int = 8
     migrate_max_bytes: int = 4 * MB
 
     def __post_init__(self):
-        """Validate the policy name early (a typo should fail at config
-        construction with a clear message, not deep inside a daemon)."""
+        """Validate early (a typo should fail at config construction
+        with a clear message, not deep inside a daemon): the policy name
+        must exist, and migration, which orders regions by the policy's
+        heat, needs a policy."""
         from repro.core.policy import POLICIES
         if self.policy != "none" and self.policy not in POLICIES:
             raise ValueError(
                 f"unknown cache policy {self.policy!r}; choose from "
                 f"{sorted(('none', *POLICIES))}")
+        if self.migration and self.policy == "none":
+            raise ValueError(
+                "cache migration needs an eviction policy for heat "
+                "tracking (policy='none' disables the cache subsystem "
+                "entirely)")
 
     @property
     def enabled(self) -> bool:
@@ -81,10 +114,6 @@ class DodoConfig:
     store_payload: bool = True
 
     # -- central manager -----------------------------------------------------
-    #: keep-alive echo interval to client libraries
-    keepalive_interval_s: float = 5.0
-    #: reclaim a client's regions after this long without an echo
-    keepalive_threshold_s: float = 15.0
     #: include the client id in region keys (the paper's planned
     #: multi-client extension, Section 4.3 footnote)
     multi_client_keys: bool = False
@@ -104,17 +133,10 @@ class DodoConfig:
     shards: int = 1
     #: give each shard a backup manager fed by synchronous log shipping
     replication: bool = False
-    #: backup -> primary liveness-probe interval
-    repl_heartbeat_s: float = 0.5
-    #: consecutive missed probes before the backup promotes itself
-    repl_promote_misses: int = 2
     #: modeled CPU cost of one directory operation on a shard manager
     #: (0 = free, the paper's behavior; serve-bench sets it so the
     #: directory is an honest bottleneck that sharding relieves)
     mgr_service_s: float = 0.0
-    #: routing attempts a client makes across a shard's replicas before
-    #: giving up (bounds retry storms during failover)
-    shard_attempts: int = 8
     #: sharded primaries run a periodic anti-entropy scrub at this
     #: interval, freeing imd regions no directory entry references
     #: (two-pass: a region must stay orphaned across consecutive passes
@@ -125,12 +147,6 @@ class DodoConfig:
     #: refraction period: no allocation attempts for this long after a
     #: failed allocation (Section 3.1)
     refraction_period_s: float = 2.0
-    #: RPC timeout/retries for control operations
-    rpc_timeout_s: float = 0.25
-    rpc_retries: int = 6
-    #: manager->imd probing is less patient: a dead host must not eat the
-    #: whole client window before the manager tries the next candidate
-    imd_rpc_retries: int = 2
     #: exponential backoff base between RPC retries (0 = fixed-interval
     #: retries, the paper's behavior; chaos runs enable it so retry storms
     #: do not hammer restarting daemons)
@@ -143,13 +159,6 @@ class DodoConfig:
     #: cap on the pool an imd will pin on one host (the evaluation used
     #: fixed 100 MB pools on 128 MB nodes)
     max_pool_bytes: int = 100 * MB
-    #: reserve this fraction of installed memory for near-future file
-    #: cache use when sizing the pool (Section 3.1)
-    headroom_fraction: float = 0.15
-    #: period of the fragmentation-coalescing sweep (Section 4.2)
-    coalesce_interval_s: float = 30.0
-    #: receive buffer (and thus bulk window) for data transfers
-    data_recvbuf_bytes: int = 256 * 1024
     #: imd re-registration heartbeat: > 0 makes each imd periodically
     #: re-announce itself to the central manager, which repopulates the
     #: IWD after a manager restart (detected via the incarnation counter
@@ -162,12 +171,6 @@ class DodoConfig:
     #: dedicated (Beowulf) clusters recruit on load alone, ignoring the
     #: console and the five-minute wait (Section 3)
     dedicated: bool = False
-
-    # -- bulk transfer ---------------------------------------------------------------
-    #: bulk-transfer parameters (timeouts, retries, linger); the fast
-    #: paths are switched on the simulator, ``Simulator(fastpath=)``
-    #: (docs/PERFORMANCE.md)
-    bulk: BulkParams = field(default_factory=BulkParams)
 
     def __post_init__(self):
         """Reject unknown placement names at construction time — the

@@ -33,14 +33,16 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.allocator import make_allocator
-from repro.core.config import CMD_PORT, IMD_PORT, DodoConfig
+from repro.core.config import (CMD_PORT, COALESCE_INTERVAL_S, IMD_PORT,
+                               RPC_RETRIES, RPC_TIMEOUT_S, SHARD_ATTEMPTS,
+                               DodoConfig)
 from repro.core.policy import make_policy
 from repro.core.shard import ShardMap
 from repro.cluster.workstation import Workstation
 from repro.metrics.recorder import Recorder
 from repro.net.bulk import BulkError, recv_bulk, send_bulk
 from repro.net.rpc import RpcClient, RpcServer, RpcTimeout
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 
 
 class IdleMemoryDaemon:
@@ -67,8 +69,7 @@ class IdleMemoryDaemon:
         #: placed it.  None: a standalone daemon that never registers.
         self.shard_map = shard_map
         if pool_bytes is None:
-            pool_bytes = min(config.max_pool_bytes,
-                             ws.recruitable_memory(config.headroom_fraction))
+            pool_bytes = min(config.max_pool_bytes, ws.recruitable_memory())
         if pool_bytes <= 0:
             raise ValueError(f"no recruitable memory on {ws.name}")
         self.pool_bytes = pool_bytes
@@ -156,8 +157,8 @@ class IdleMemoryDaemon:
     def _register_shard(self, sid: int):
         """Register with one shard's primary, trying the backup when the
         primary is unreachable and chasing ``not_primary`` redirects
-        (bounded by ``shard_attempts``; the paper's lone manager gets
-        one call with the whole ``rpc_retries`` budget instead).  A
+        (bounded by ``SHARD_ATTEMPTS``; the paper's lone manager gets
+        one call with the whole ``RPC_RETRIES`` budget instead).  A
         changed shard incarnation means that shard's directory
         restarted empty: regions it placed here are unreachable
         garbage, so drop *only those*."""
@@ -165,10 +166,13 @@ class IdleMemoryDaemon:
         lone = self.shard_map.lone
         info = self.shard_map.shards[sid]
         candidates = [h for h in (info.primary, info.backup) if h]
-        for attempt in range(1 if lone else cfg.shard_attempts):
+        for attempt in range(1 if lone else SHARD_ATTEMPTS):
             if self.exited or self.stopping:
                 return False
             host = candidates[attempt % len(candidates)]
+            # not rpc.call: every imd of a large cluster registers at
+            # once while it is built, and the helper's extra generator
+            # frame per pending call shows in peak memory
             sock = self.endpoint.socket()
             client = RpcClient(sock)
             try:
@@ -177,8 +181,8 @@ class IdleMemoryDaemon:
                     {"host": self.ws.name, "pool_bytes": self.pool_bytes,
                      "epoch": self.epoch, "port": self.control_port,
                      "largest_free": self.allocator.largest_free()},
-                    timeout=cfg.rpc_timeout_s,
-                    retries=cfg.rpc_retries if lone else 1,
+                    timeout=RPC_TIMEOUT_S,
+                    retries=RPC_RETRIES if lone else 1,
                     backoff_s=cfg.rpc_backoff_s,
                     backoff_jitter=cfg.rpc_backoff_jitter)
             except RpcTimeout:
@@ -194,7 +198,7 @@ class IdleMemoryDaemon:
                         info = new.shards[sid]
                         candidates = [h for h in (info.primary,
                                                   info.backup) if h]
-                yield self.sim.timeout(cfg.rpc_timeout_s)
+                yield self.sim.timeout(RPC_TIMEOUT_S)
                 continue
             if reply.get("ok"):
                 inc = reply.get("incarnation")
@@ -229,7 +233,6 @@ class IdleMemoryDaemon:
         """Heartbeat: periodically re-announce to the central manager so a
         restarted manager's empty IWD repopulates (opt-in via
         ``imd_reregister_s``)."""
-        from repro.sim import Interrupt
         try:
             while True:
                 yield self.sim.timeout(self.config.imd_reregister_s)
@@ -262,14 +265,7 @@ class IdleMemoryDaemon:
         if self.active_transfers > 0:
             yield self._drained
         tracer.end(self.sim, span)
-        self._server.stop()
-        if self._coalescer.is_alive:
-            self._coalescer.interrupt("imd-exit")
-        if self._reregister is not None and self._reregister.is_alive:
-            self._reregister.interrupt("imd-exit")
-        self.ws.guest_memory -= self.pool_bytes
-        self.pool = None
-        self.exited = True
+        self._exit("imd-exit")
         self.stats.add("shutdowns")
         drain = self.sim.now - start
         self.stats.sample("drain_s", drain)
@@ -281,10 +277,9 @@ class IdleMemoryDaemon:
         return drain
 
     def _coalesce_loop(self):
-        from repro.sim import Interrupt
         try:
             while True:
-                yield self.sim.timeout(self.config.coalesce_interval_s)
+                yield self.sim.timeout(COALESCE_INTERVAL_S)
                 self.allocator.coalesce()
         except Interrupt:
             return
@@ -299,19 +294,24 @@ class IdleMemoryDaemon:
             return
         self.stopping = True
         self.killed = True
-        self._server.stop()
-        if self._coalescer.is_alive:
-            self._coalescer.interrupt("host-crash")
-        if self._reregister is not None and self._reregister.is_alive:
-            self._reregister.interrupt("host-crash")
-        self.ws.guest_memory -= self.pool_bytes
-        self.pool = None
-        self.exited = True
+        self._exit("host-crash")
         self.stats.add("hard_kills")
         if self.sim.eventlog.enabled:
             self.sim.eventlog.warn(
                 self.sim, "imd", "imd.killed", host=self.ws.name,
                 epoch=self.epoch, regions_lost=len(self._regions))
+
+    def _exit(self, cause: str) -> None:
+        """Teardown shared by graceful exit and host crash: stop serving,
+        interrupt the daemon's loops with ``cause`` and release the
+        pinned pool."""
+        self._server.stop()
+        for proc in (self._coalescer, self._reregister):
+            if proc is not None and proc.is_alive:
+                proc.interrupt(cause)
+        self.ws.guest_memory -= self.pool_bytes
+        self.pool = None
+        self.exited = True
 
     # -- bookkeeping helpers ----------------------------------------------------------
     def _piggyback(self, reply: dict) -> dict:
@@ -477,6 +477,20 @@ class IdleMemoryDaemon:
             self.stats.add("read_rejects")
             return self._piggyback({"ok": False, "reason": str(exc)})
         self._note_access(region_id)
+        sent = yield from self._send_region(
+            region_id, offset, length, (src[0], int(args["reply_port"])),
+            args.get("window"))
+        if not sent:
+            self.stats.add("read_aborts")
+            return self._piggyback({"ok": False, "reason": "client gone"})
+        self.stats.add("bytes_read", length)
+        return self._piggyback({"ok": True, "nbytes": length})
+
+    def _send_region(self, region_id: int, offset: int, length: int,
+                     dst: tuple[str, int], window: Optional[int]):
+        """Generator: blast ``length`` bytes of a hosted region, from
+        ``offset``, to ``dst``, as an in-flight transfer that pins the
+        region against eviction.  False when the peer went away."""
         data = None
         if self.pool is not None:
             base = region_id + offset
@@ -484,23 +498,18 @@ class IdleMemoryDaemon:
         self._begin_transfer()
         self._pin(region_id)
         try:
-            sock = self.endpoint.socket(
-                recvbuf=self.config.data_recvbuf_bytes)
+            sock = self.endpoint.socket()
             try:
-                yield self.sim.process(send_bulk(
-                    sock, (src[0], int(args["reply_port"])), length,
-                    data=data, params=self.config.bulk,
-                    window=args.get("window")))
+                yield self.sim.process(send_bulk(sock, dst, length,
+                                                 data=data, window=window))
             finally:
                 sock.close()
+            return True
         except BulkError:
-            self.stats.add("read_aborts")
-            return self._piggyback({"ok": False, "reason": "client gone"})
+            return False
         finally:
             self._unpin(region_id)
             self._end_transfer()
-        self.stats.add("bytes_read", length)
-        return self._piggyback({"ok": True, "nbytes": length})
 
     def _h_write(self, args: dict, src) -> dict:
         """Open a per-transfer receive socket and tell the client where to
@@ -513,7 +522,7 @@ class IdleMemoryDaemon:
             self.stats.add("write_rejects")
             return self._piggyback({"ok": False, "reason": str(exc)})
         self._note_access(region_id)
-        sock = self.endpoint.socket(recvbuf=self.config.data_recvbuf_bytes)
+        sock = self.endpoint.socket()
         self._begin_transfer()
         self._pin(region_id)
         self.sim.process(self._write_receiver(
@@ -530,8 +539,8 @@ class IdleMemoryDaemon:
             if tracer.enabled else None
         try:
             result = yield self.sim.process(recv_bulk(
-                sock, first_timeout=2.0, params=self.config.bulk,
-                close_socket=True, pregranted=True))
+                sock, first_timeout=2.0, close_socket=True,
+                pregranted=True))
             if result is None:
                 self.stats.add("write_aborts")
                 sock.close()
@@ -567,28 +576,13 @@ class IdleMemoryDaemon:
         except (KeyError, ValueError) as exc:
             self.stats.add("migrate.rejects")
             return self._piggyback({"ok": False, "reason": str(exc)})
-        data = None
-        if self.pool is not None:
-            base = region_id + offset
-            data = bytes(self.pool[base:base + length])
-        self._begin_transfer()
-        self._pin(region_id)
         self.stats.add("migrate.bytes_out", length)
-        try:
-            sock = self.endpoint.socket(
-                recvbuf=self.config.data_recvbuf_bytes)
-            try:
-                yield self.sim.process(send_bulk(
-                    sock, (str(args["dest_host"]), int(args["data_port"])),
-                    length, data=data, params=self.config.bulk,
-                    window=args.get("window")))
-            finally:
-                sock.close()
-        except BulkError:
+        sent = yield from self._send_region(
+            region_id, offset, length,
+            (str(args["dest_host"]), int(args["data_port"])),
+            args.get("window"))
+        if not sent:
             self.stats.add("migrate.aborts")
             return self._piggyback({"ok": False, "reason": "dest gone"})
-        finally:
-            self._unpin(region_id)
-            self._end_transfer()
         self.stats.add("migrate.regions_out")
         return self._piggyback({"ok": True, "nbytes": length})

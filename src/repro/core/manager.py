@@ -25,12 +25,17 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.config import CMD_PORT, PLACEMENTS, DodoConfig
+from repro.core.config import (CMD_PORT, IMD_RPC_RETRIES,
+                               KEEPALIVE_INTERVAL_S, KEEPALIVE_THRESHOLD_S,
+                               MIGRATE_MAX_REGIONS, REPL_HEARTBEAT_S,
+                               REPL_PROMOTE_MISSES, RPC_TIMEOUT_S,
+                               SHARD_ATTEMPTS, DodoConfig)
 from repro.core.descriptors import RegionKey, RegionStruct
 from repro.core.policy import POLICIES
 from repro.core.shard import ShardMap
 from repro.cluster.workstation import Workstation
 from repro.metrics.recorder import Recorder
+from repro.net import rpc
 from repro.net.rpc import RpcClient, RpcServer, RpcTimeout
 from repro.sim import Interrupt, Resource, Simulator
 
@@ -133,6 +138,20 @@ def _unwire_key(raw) -> RegionKey:
     return RegionKey(inode=raw[0], offset=raw[1], client=raw[2])
 
 
+# The replication log's set-records; _apply_record reads them back.
+def _rd_record(key: RegionKey, entry: RdEntry) -> list:
+    return ["rd_set", _wire_key(key), entry.struct.to_wire(), entry.owner]
+
+
+def _iwd_record(entry: IwdEntry) -> list:
+    return ["iwd_set", [entry.host, entry.epoch, entry.largest_free,
+                        entry.port]]
+
+
+def _client_record(cid: str, state: ClientState) -> list:
+    return ["client_set", [cid, state.addr, state.echo_port]]
+
+
 class CentralManager:
     """The cmd process and its directories.
 
@@ -188,10 +207,6 @@ class CentralManager:
         self.name = "cmd" if lone else f"cmd{shard_id}"
         self.stats = Recorder(self.name)
         self._rng = sim.rng(f"{self.name}.placement")
-        if config.placement not in PLACEMENTS:  # defense in depth: the
-            # config's own __post_init__ already rejects unknown names
-            raise ValueError(f"unknown placement {config.placement!r}, "
-                             f"expected one of {sorted(PLACEMENTS)}")
         self._rr = 0  # round-robin cursor (placement="round-robin")
         #: donors evict under the configured policy, so a donor whose
         #: free-space hint says "full" can still make room
@@ -206,8 +221,7 @@ class CentralManager:
         # plain handler stays the default so the paper's event stream is
         # untouched unless migration is configured on
         notify_busy = (self._h_notify_busy_migrate
-                       if config.cache.enabled and config.cache.migration
-                       else self._h_notify_busy)
+                       if config.cache.migration else self._h_notify_busy)
         handlers = {
             "alloc": self._routed(self._h_alloc, keyed=True),
             "check_alloc": self._routed(self._h_check_alloc, keyed=True),
@@ -331,8 +345,7 @@ class CentralManager:
 
     def _rd_set(self, key: RegionKey, entry: RdEntry) -> None:
         self.rd[key] = entry
-        self._repl_log(["rd_set", _wire_key(key), entry.struct.to_wire(),
-                        entry.owner])
+        self._repl_log(_rd_record(key, entry))
 
     def _rd_del(self, key: RegionKey) -> Optional[RdEntry]:
         entry = self.rd.pop(key, None)
@@ -342,8 +355,7 @@ class CentralManager:
 
     def _iwd_set(self, entry: IwdEntry) -> None:
         self.iwd[entry.host] = entry
-        self._repl_log(["iwd_set", [entry.host, entry.epoch,
-                                    entry.largest_free, entry.port]])
+        self._repl_log(_iwd_record(entry))
 
     def _iwd_del(self, host: str) -> None:
         if self.iwd.pop(host, None) is not None:
@@ -351,7 +363,7 @@ class CentralManager:
 
     def _client_set(self, cid: str, state: ClientState) -> None:
         self.clients[cid] = state
-        self._repl_log(["client_set", [cid, state.addr, state.echo_port]])
+        self._repl_log(_client_record(cid, state))
 
     def _client_del(self, cid: Optional[str]) -> None:
         if self.clients.pop(cid, None) is not None:
@@ -376,16 +388,11 @@ class CentralManager:
         self._repl_pending = []
         seq_from = self.repl_seq
         self.repl_seq += len(records)
-        sock = self.endpoint.socket()
-        rpc = RpcClient(sock)
         try:
-            reply = yield from rpc.call(
+            reply = yield from self._call(
                 (self.peer, self.port), "repl_apply",
                 {"shard_id": self.shard_id, "seq_from": seq_from,
-                 "records": records, "incarnation": self.incarnation},
-                timeout=self.config.rpc_timeout_s, retries=1,
-                backoff_s=self.config.rpc_backoff_s,
-                backoff_jitter=self.config.rpc_backoff_jitter)
+                 "records": records, "incarnation": self.incarnation})
         except RpcTimeout:
             self.repl_degraded = True
             self.stats.add("repl.degraded")
@@ -394,60 +401,41 @@ class CentralManager:
                                        "repl.degraded", host=self.ws.name,
                                        shard=self.shard_id)
             return
-        finally:
-            sock.close()
         if reply.get("resync"):
             yield from self._push_snapshot()
 
     def _push_snapshot(self):
         """Bring a gapped backup back in line with a full state image."""
-        sock = self.endpoint.socket()
-        rpc = RpcClient(sock)
         try:
-            yield from rpc.call(
+            yield from self._call(
                 (self.peer, self.port), "repl_apply",
-                {"shard_id": self.shard_id, "snapshot": self._snapshot()},
-                timeout=self.config.rpc_timeout_s, retries=1,
-                backoff_s=self.config.rpc_backoff_s,
-                backoff_jitter=self.config.rpc_backoff_jitter)
+                {"shard_id": self.shard_id, "snapshot": self._snapshot()})
             self.stats.add("repl.snapshots")
         except RpcTimeout:
             self.repl_degraded = True
             self.stats.add("repl.degraded")
-        finally:
-            sock.close()
 
     def _snapshot(self) -> dict:
-        """Full replication image of the directory state (stable order
-        so identically-seeded runs ship identical bytes)."""
+        """Full replication image: the set-records that rebuild the
+        directory (rd by key, then the IWD and the clients by name, a
+        stable order so identically-seeded runs ship identical bytes),
+        plus the log position, incarnation and shard map."""
         def keysort(kv):
             key = kv[0]
             return (key.inode, key.offset, key.client or "")
-        return {
-            "rd": [[_wire_key(k), e.struct.to_wire(), e.owner]
-                   for k, e in sorted(self.rd.items(), key=keysort)],
-            "iwd": [[e.host, e.epoch, e.largest_free, e.port]
-                    for _, e in sorted(self.iwd.items())],
-            "clients": [[cid, st.addr, st.echo_port]
-                        for cid, st in sorted(self.clients.items())],
-            "seq": self.repl_seq,
-            "incarnation": self.incarnation,
-            "shard_map": self.shard_map.to_wire(),
-        }
+        records = [_rd_record(k, e)
+                   for k, e in sorted(self.rd.items(), key=keysort)]
+        records += [_iwd_record(e) for _, e in sorted(self.iwd.items())]
+        records += [_client_record(cid, st)
+                    for cid, st in sorted(self.clients.items())]
+        return {"records": records, "seq": self.repl_seq,
+                "incarnation": self.incarnation,
+                "shard_map": self.shard_map.to_wire()}
 
     def _install_snapshot(self, snap: dict) -> None:
-        self.rd = {
-            _unwire_key(raw): RdEntry(struct=RegionStruct.from_wire(sw),
-                                      owner=owner)
-            for raw, sw, owner in snap["rd"]}
-        self.iwd = IdleDirectory(
-            (host, IwdEntry(host=host, epoch=int(epoch),
-                            largest_free=int(free), port=int(port)))
-            for host, epoch, free, port in snap["iwd"])
-        self.clients = {
-            cid: ClientState(addr=addr, echo_port=int(port),
-                             last_echo=self.sim.now)
-            for cid, addr, port in snap["clients"]}
+        self.rd, self.iwd, self.clients = {}, IdleDirectory(), {}
+        for rec in snap["records"]:
+            self._apply_record(rec)
         self.repl_seq = int(snap["seq"])
         self.incarnation = int(snap["incarnation"])
         self.shard_map = ShardMap.from_wire(snap["shard_map"])
@@ -516,23 +504,16 @@ class CentralManager:
         ``primary`` hint) and install it.  Used by the nemesis healer
         when it stands up a replacement backup."""
         primary = self.shard_map.primary(self.shard_id)
-        for _ in range(self.config.shard_attempts):
+        for _ in range(SHARD_ATTEMPTS):
             if self.stopped:
                 return False
-            sock = self.endpoint.socket()
-            rpc = RpcClient(sock)
             try:
-                reply = yield from rpc.call(
+                reply = yield from self._call(
                     (primary, self.port), "repl_sync",
-                    {"host": self.ws.name, "shard_id": self.shard_id},
-                    timeout=self.config.rpc_timeout_s, retries=1,
-                    backoff_s=self.config.rpc_backoff_s,
-                    backoff_jitter=self.config.rpc_backoff_jitter)
+                    {"host": self.ws.name, "shard_id": self.shard_id})
             except RpcTimeout:
-                yield self.sim.timeout(self.config.repl_heartbeat_s)
+                yield self.sim.timeout(REPL_HEARTBEAT_S)
                 continue
-            finally:
-                sock.close()
             if reply.get("ok"):
                 self._install_snapshot(reply["snapshot"])
                 return True
@@ -540,7 +521,7 @@ class CentralManager:
             if hint and hint != primary:
                 primary = hint
                 continue
-            yield self.sim.timeout(self.config.repl_heartbeat_s)
+            yield self.sim.timeout(REPL_HEARTBEAT_S)
         self.stats.add("repl.sync_failed")
         return False
 
@@ -548,31 +529,22 @@ class CentralManager:
     def _watch_primary(self):
         """Backup heartbeat loop: probe the primary; after enough
         consecutive misses, promote ourselves."""
-        cfg = self.config
         misses = 0
         try:
             while True:
-                yield self.sim.timeout(cfg.repl_heartbeat_s)
+                yield self.sim.timeout(REPL_HEARTBEAT_S)
                 if self.role != "backup" or self.stopped:
                     return
                 primary = self.shard_map.primary(self.shard_id)
-                sock = self.endpoint.socket()
-                rpc = RpcClient(sock)
                 try:
-                    yield from rpc.call(
-                        (primary, self.port), "mgr_ping",
-                        {"shard_id": self.shard_id},
-                        timeout=cfg.rpc_timeout_s, retries=1,
-                        backoff_s=cfg.rpc_backoff_s,
-                        backoff_jitter=cfg.rpc_backoff_jitter)
+                    yield from self._call((primary, self.port), "mgr_ping",
+                                          {"shard_id": self.shard_id})
                     misses = 0
                 except RpcTimeout:
                     misses += 1
-                    if misses >= cfg.repl_promote_misses:
+                    if misses >= REPL_PROMOTE_MISSES:
                         self._promote()
                         return
-                finally:
-                    sock.close()
         except Interrupt:
             return
 
@@ -681,16 +653,20 @@ class CentralManager:
         self.stats.add("imd_registrations")
         return {"ok": True, "incarnation": self.incarnation}
 
-    def _h_notify_busy(self, args: dict, src) -> dict:
+    def _h_notify_busy(self, args: dict, src,
+                       migrated: Optional[int] = None) -> dict:
         """A host was reclaimed: drop it from the IWD.  Its RD entries are
-        invalidated lazily by the epoch check, as in the paper."""
+        invalidated lazily by the epoch check, as in the paper.  The
+        migrating variant passes how many regions it moved first, which
+        the event and the reply then carry."""
         host = args["host"]
         self._iwd_del(host)
         self.stats.add("busy_notifications")
+        detail = {} if migrated is None else {"migrated": migrated}
         if self.sim.eventlog.enabled:
             self.sim.eventlog.info(self.sim, "manager", "host.busy",
-                                   host=host)
-        return {"ok": True}
+                                   host=host, **detail)
+        return {"ok": True, **detail}
 
     def _h_notify_busy_migrate(self, args: dict, src):
         """Generator variant of notify_busy (installed only with
@@ -701,24 +677,17 @@ class CentralManager:
         draining — the rmd only shuts it down once this reply lands —
         and the per-reclaim byte/region budget keeps that well inside
         the busy-notification retry window."""
-        host = args["host"]
-        migrated = yield from self._migrate_from(host)
-        self._iwd_del(host)
-        self.stats.add("busy_notifications")
-        if self.sim.eventlog.enabled:
-            self.sim.eventlog.info(self.sim, "manager", "host.busy",
-                                   host=host, migrated=migrated)
-        return {"ok": True, "migrated": migrated}
+        migrated = yield from self._migrate_from(args["host"])
+        return self._h_notify_busy(args, src, migrated=migrated)
 
     def _migrate_from(self, host: str):
         """Hotspot-aware reclaim: pull the busy imd's heat-annotated
         inventory, then move its hottest regions (hot first, bounded by
-        ``migrate_max_regions`` / ``migrate_max_bytes``) to other idle
+        ``MIGRATE_MAX_REGIONS`` / ``migrate_max_bytes``) to other idle
         hosts.  Returns the number of regions moved."""
         iwd = self.iwd.get(host)
         if iwd is None:
             return 0
-        cache = self.config.cache
         reply = yield from self._imd_call(
             iwd, "inventory", {"shard": self.shard_id, "heat": True})
         if reply is None or not reply.get("ok") \
@@ -732,9 +701,9 @@ class CentralManager:
                      if e.struct.host == host
                      and e.struct.epoch == iwd.epoch}
         moved = 0
-        budget = cache.migrate_max_bytes
+        budget = self.config.cache.migrate_max_bytes
         for off, size in regions:
-            if moved >= cache.migrate_max_regions or budget <= 0:
+            if moved >= MIGRATE_MAX_REGIONS or budget <= 0:
                 break
             if size > budget:
                 continue
@@ -760,13 +729,7 @@ class CentralManager:
         if entry is None:
             self.stats.add("migrate.failed")
             return False
-        candidates = [h for h in self.iwd.fitting(size)
-                      if h != src_iwd.host]
-        if not candidates and self._donors_evict:
-            # every other donor looks full, but donors evict: offer the
-            # hot region anyway and let the destination displace colder
-            # ones
-            candidates = [h for h in self.iwd if h != src_iwd.host]
+        candidates = self._candidates(size, exclude=src_iwd.host)
         while candidates:
             pick = self._pick_candidate(candidates)
             dest = self.iwd.get(pick)
@@ -774,12 +737,16 @@ class CentralManager:
                 continue
             areply = yield from self._imd_call(
                 dest, "alloc", {"size": size, "shard": self.shard_id})
-            if areply is None or not areply.get("ok"):
+            if areply is None:
+                continue
+            # a refused alloc may have evicted regions making room
+            self._drop_evicted(pick, int(areply.get("epoch", dest.epoch)),
+                               areply.get("evicted"))
+            if not areply.get("ok"):
                 continue
             dest_off = int(areply["region_id"])
             dest_epoch = int(areply["epoch"])
             dest_gen = int(areply.get("gen", 0))
-            self._drop_evicted(pick, dest_epoch, areply.get("evicted"))
             wargs = {"region_id": dest_off, "offset": 0,
                      "length": size, "migrate": True}
             if dest_gen:
@@ -874,8 +841,7 @@ class CentralManager:
         if entry is None:
             self.stats.add("check.miss")
             return self._stamp({"ok": False})
-        iwd = self.iwd.get(entry.struct.host)
-        if iwd is None or iwd.epoch != entry.struct.epoch:
+        if self._live(entry.struct) is None:
             # stale: the hosting imd is gone or has been restarted
             self._rd_del(key)
             self.stats.add("check.stale")
@@ -916,23 +882,16 @@ class CentralManager:
 
         existing = self.rd.get(key)
         if existing is not None:
-            iwd = self.iwd.get(existing.struct.host)
-            if iwd is not None and iwd.epoch == existing.struct.epoch \
+            if self._live(existing.struct) is not None \
                     and existing.struct.length >= length:
                 self.stats.add("alloc.reused")
                 existing.owner = client or existing.owner
-                self._repl_log(["rd_set", _wire_key(key),
-                                existing.struct.to_wire(), existing.owner])
+                self._repl_log(_rd_record(key, existing))
                 return self._stamp(
                     {"ok": True, "region": existing.struct.to_wire()})
             self._rd_del(key)  # stale or too small: replace
 
-        candidates = self.iwd.fitting(length)
-        if not candidates and self._donors_evict:
-            # a host whose free-space hint says "full" can still make
-            # room, so consult them all and let each imd answer ENOMEM
-            # only when eviction can't open a large-enough hole
-            candidates = list(self.iwd)
+        candidates = self._candidates(length)
         while candidates:
             pick = self._pick_candidate(candidates)
             iwd = self.iwd.get(pick)
@@ -972,10 +931,7 @@ class CentralManager:
         if entry is None:
             self.stats.add("free.miss")
             return self._stamp({"ok": False, "reason": "no such region"})
-        iwd = self.iwd.get(entry.struct.host)
-        if iwd is not None and iwd.epoch == entry.struct.epoch:
-            yield from self._imd_call(
-                iwd, "free", {"region_id": entry.struct.pool_offset})
+        yield from self._free_entry(entry)
         self.stats.add("free.ok")
         if self.sim.eventlog.enabled:
             self.sim.eventlog.info(self.sim, "manager", "region.freed",
@@ -996,8 +952,7 @@ class CentralManager:
             for key, entry in self.rd.items():
                 if entry.owner == client:
                     entry.owner = None
-                    self._repl_log(["rd_set", _wire_key(key),
-                                    entry.struct.to_wire(), None])
+                    self._repl_log(_rd_record(key, entry))
             self.stats.add("detach.persist")
         return self._stamp({"ok": True, "freed": freed})
 
@@ -1009,18 +964,51 @@ class CentralManager:
         return self._stamp({"ok": True})
 
     # -- shared helpers -----------------------------------------------------------
+    def _call(self, dst: tuple[str, int], method: str, args: dict,
+              retries: int = 1):
+        """Generator: one control call from a fresh socket, with the
+        control timeout and the configured backoff."""
+        cfg = self.config
+        return rpc.call(self.endpoint, dst, method, args,
+                        timeout=RPC_TIMEOUT_S, retries=retries,
+                        backoff_s=cfg.rpc_backoff_s,
+                        backoff_jitter=cfg.rpc_backoff_jitter)
+
+    def _live(self, struct: RegionStruct) -> Optional[IwdEntry]:
+        """The IWD entry of the imd hosting ``struct``, or None when that
+        host left the IWD or its imd restarted (a newer epoch)."""
+        iwd = self.iwd.get(struct.host)
+        return iwd if iwd is not None and iwd.epoch == struct.epoch \
+            else None
+
+    def _candidates(self, length: int,
+                    exclude: Optional[str] = None) -> list[str]:
+        """Hosts to offer a ``length``-byte region, in IWD order, without
+        ``exclude``.  When none fits but donors evict, a host whose hint
+        says "full" can still make room: offer them all and let each imd
+        answer ENOMEM only when eviction can't open a large-enough
+        hole."""
+        hosts = self.iwd.fitting(length)
+        if exclude is not None:
+            hosts = [h for h in hosts if h != exclude]
+        if not hosts and self._donors_evict:
+            hosts = [h for h in self.iwd if h != exclude]
+        return hosts
+
+    def _free_entry(self, entry: RdEntry):
+        """Free a dropped directory entry's region on its imd, unless that
+        imd is gone (its pool went with it)."""
+        iwd = self._live(entry.struct)
+        if iwd is not None:
+            yield from self._imd_call(
+                iwd, "free", {"region_id": entry.struct.pool_offset})
+
     def _imd_call(self, iwd: IwdEntry, method: str, args: dict):
         """Call one imd; updates the free-space hint from the piggyback.
         Returns the reply dict or None (host declared dead and removed)."""
-        sock = self.endpoint.socket()
-        client = RpcClient(sock)
         try:
-            reply = yield from client.call(
-                (iwd.host, iwd.port), method, args,
-                timeout=self.config.rpc_timeout_s,
-                retries=self.config.imd_rpc_retries,
-                backoff_s=self.config.rpc_backoff_s,
-                backoff_jitter=self.config.rpc_backoff_jitter)
+            reply = yield from self._call((iwd.host, iwd.port), method, args,
+                                          retries=IMD_RPC_RETRIES)
         except RpcTimeout:
             self._iwd_del(iwd.host)
             self.stats.add("imd.dead")
@@ -1028,8 +1016,6 @@ class CentralManager:
                 self.sim.eventlog.warn(self.sim, "manager", "imd.dead",
                                        host=iwd.host, epoch=iwd.epoch)
             return None
-        finally:
-            sock.close()
         if "largest_free" in reply:
             self.iwd.set_free(iwd.host, int(reply["largest_free"]))
         return reply
@@ -1047,10 +1033,7 @@ class CentralManager:
                 entry = self._rd_del(key)
                 if entry is None:
                     continue
-                iwd = self.iwd.get(entry.struct.host)
-                if iwd is not None and iwd.epoch == entry.struct.epoch:
-                    yield from self._imd_call(
-                        iwd, "free", {"region_id": entry.struct.pool_offset})
+                yield from self._free_entry(entry)
                 freed += 1
         finally:
             tracer.end(self.sim, span, {"freed": freed})
@@ -1061,11 +1044,10 @@ class CentralManager:
     def _keepalive_loop(self):
         """Echo every attached client; reclaim those that stay silent past
         the threshold (Section 3.1 fault handling)."""
-        cfg = self.config
         tracer = self.sim.tracer
         try:
             while True:
-                yield self.sim.timeout(cfg.keepalive_interval_s)
+                yield self.sim.timeout(KEEPALIVE_INTERVAL_S)
                 sweep = tracer.begin(
                     self.sim, "cmd.keepalive", "manager",
                     {"clients": len(self.clients)}) \
@@ -1074,20 +1056,22 @@ class CentralManager:
                     state = self.clients.get(cid)
                     if state is None:
                         continue
+                    # not rpc.call: the socket stays bound through the
+                    # reclaim below, or a late echo reply would count as
+                    # rx.dropped.no_port
                     sock = self.endpoint.socket()
-                    rpc = RpcClient(sock)
                     try:
-                        yield from rpc.call(
+                        yield from RpcClient(sock).call(
                             (state.addr, state.echo_port), "echo",
                             {"client": cid, "incarnation": self.incarnation,
                              "shard": self.shard_id},
-                            timeout=cfg.rpc_timeout_s, retries=2)
+                            timeout=RPC_TIMEOUT_S, retries=2)
                         state.last_echo = self.sim.now
                         state.missed = 0
                     except RpcTimeout:
                         state.missed += 1
                         silent = self.sim.now - state.last_echo
-                        if silent >= cfg.keepalive_threshold_s:
+                        if silent >= KEEPALIVE_THRESHOLD_S:
                             self.stats.add("clients_expired")
                             self._client_del(cid)
                             if self.sim.eventlog.enabled:

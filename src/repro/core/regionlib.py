@@ -196,23 +196,14 @@ class RegionCache:
 
         yield from self._probe_remote(region)
         if region.is_remote:
-            n, err, data = yield from self.runtime.mread(
-                region.remote_desc, offset, length)
-            if err == 0:
+            got = yield from self._read_remote(region, offset, length,
+                                               lost="cread.remote_lost")
+            if got is not None:
+                n, data, migrated = got
                 self.stats.add("cread.remote_hits")
-                return n, 0, data
-            # remote copy lost (host crashed/reclaimed): self-heal to disk
-            region.remote_desc = None
-            self.stats.add("cread.remote_lost")
-            found = yield from self._reprobe_migrated(region)
-            if found:
-                n, err, data = yield from self.runtime.mread(
-                    region.remote_desc, offset, length)
-                if err == 0:
-                    self.stats.add("cread.remote_hits")
+                if migrated:
                     self.stats.add("cread.migrated_hits")
-                    return n, 0, data
-                region.remote_desc = None
+                return n, 0, data
 
         self.stats.add("cread.disk_reads")
         loaded = yield from self._load_local(region)
@@ -480,6 +471,29 @@ class RegionCache:
             region.remote_desc = desc
             self.stats.add("probe.remote_found")
 
+    def _read_remote(self, region: CRegion, offset: int, length: int,
+                     lost: Optional[str] = None):
+        """Generator: read from the region's remote copy, and once more
+        from wherever a migration moved it if that copy is lost (adding
+        to the ``lost`` counter, when given).  ``(n, data, migrated)``,
+        or None when no remote copy answered: the region then self-heals
+        to disk."""
+        n, err, data = yield from self.runtime.mread(
+            region.remote_desc, offset, length)
+        if err == 0:
+            return n, data, False
+        # remote copy lost (host crashed/reclaimed)
+        region.remote_desc = None
+        if lost is not None:
+            self.stats.add(lost)
+        if (yield from self._reprobe_migrated(region)):
+            n, err, data = yield from self.runtime.mread(
+                region.remote_desc, offset, length)
+            if err == 0:
+                return n, data, True
+            region.remote_desc = None
+        return None
+
     def _reprobe_migrated(self, region: CRegion):
         """A remote read just failed: with elastic caching on, the copy
         may not be gone but *migrated* to another donor (docs/CACHING.md)
@@ -565,18 +579,9 @@ class RegionCache:
         try:
             data = None
             if region.is_remote:
-                n, err, data = yield from self.runtime.mread(
-                    region.remote_desc, 0, region.length)
-                if err != 0:
-                    region.remote_desc = None
-                    data = None
-                    found = yield from self._reprobe_migrated(region)
-                    if found:
-                        n, err, data = yield from self.runtime.mread(
-                            region.remote_desc, 0, region.length)
-                        if err != 0:
-                            region.remote_desc = None
-                            data = None
+                got = yield from self._read_remote(region, 0, region.length)
+                if got is not None:
+                    data = got[1]
             if data is None and not region.is_remote:
                 fh = self.ws.fs.handle(region.backing_fd)
                 if fh is None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.config import CMD_PORT, DodoConfig
+from repro.core.config import CMD_PORT, RPC_RETRIES, RPC_TIMEOUT_S, DodoConfig
 from repro.core.imd import IdleMemoryDaemon
 from repro.core.shard import ShardMap
 from repro.cluster.idleness import classify_idleness, instant_quiet
@@ -130,7 +130,7 @@ class ResourceMonitor:
 
     # -- transitions ------------------------------------------------------------------
     def _recruit(self):
-        if self.ws.recruitable_memory(self.config.headroom_fraction) <= 0:
+        if self.ws.recruitable_memory() <= 0:
             self.stats.add("recruit.no_memory")
             return
         tracer = self.sim.tracer
@@ -161,7 +161,7 @@ class ResourceMonitor:
                             {"host": self.ws.name}) \
             if tracer.enabled else None
         yield from notify_busy(
-            self.endpoint, self.config, self.ws.name,
+            self.endpoint, self.ws.name,
             [self.shard_map.primary(sid)
              for sid in sorted(self.shard_map.shards)], self.stats)
         if self.imd is not None:
@@ -180,23 +180,22 @@ class ResourceMonitor:
         tracer.end(self.sim, span, {"delay_s": delay})
 
 
-def notify_busy(endpoint, config: DodoConfig, host: str, cmd_hosts,
-                stats: Recorder):
+def notify_busy(endpoint, host: str, cmd_hosts, stats: Recorder):
     """Generator: tell each manager in ``cmd_hosts`` that ``host`` is
     busy again, which drops it from that manager's idle-workstation
-    directory.  One socket, the full ``rpc_retries`` budget per manager;
-    a manager that never answers counts ``cmd_unreachable`` on
-    ``stats``.  The rmd's reclaim and the nemesis's reclaim storm both
-    notify through here."""
+    directory.  The full ``RPC_RETRIES`` budget per manager; a manager
+    that never answers counts ``cmd_unreachable`` on ``stats``.  The
+    rmd's reclaim and the nemesis's reclaim storm both notify through
+    here."""
+    # not rpc.call: every manager is called from this one socket
     sock = endpoint.socket()
     rpc = RpcClient(sock)
     try:
         for cmd_host in cmd_hosts:
             try:
                 yield from rpc.call((cmd_host, CMD_PORT), "notify_busy",
-                                    {"host": host},
-                                    timeout=config.rpc_timeout_s,
-                                    retries=config.rpc_retries)
+                                    {"host": host}, timeout=RPC_TIMEOUT_S,
+                                    retries=RPC_RETRIES)
             except RpcTimeout:
                 stats.add("cmd_unreachable")
     finally:

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.config import CMD_PORT, IMD_PORT, DodoConfig
+from repro.core.config import (CMD_PORT, IMD_PORT, RPC_RETRIES,
+                               RPC_TIMEOUT_S, SHARD_ATTEMPTS, DodoConfig)
 from repro.core.descriptors import RegionKey, RegionStruct, RegionTableEntry
 from repro.core.errno import EINVAL, EIO, ENOMEM
 from repro.core.shard import ShardMap
 from repro.cluster.workstation import Workstation
 from repro.metrics.recorder import Recorder
+from repro.net import rpc
 from repro.net.bulk import BulkError, recv_bulk, send_bulk
 from repro.net.rpc import RpcClient, RpcRemoteError, RpcServer, RpcTimeout
 from repro.sim import AllOf, AnyOf, Simulator
@@ -127,9 +129,9 @@ class DodoRuntime:
         the explicit ``shard``), try its replicas — preferred endpoint
         first — and chase ``wrong_shard`` (stale map) and
         ``not_primary`` (failover in progress) redirects until an
-        answer or ``shard_attempts`` is exhausted.  The paper's lone
+        answer or ``SHARD_ATTEMPTS`` is exhausted.  The paper's lone
         manager has no replica to fail over to: one call spends the
-        whole ``rpc_retries`` budget on it."""
+        whole ``RPC_RETRIES`` budget on it."""
         args = dict(args)
         args["client"] = self.client_id
         args["echo_port"] = self.echo_port
@@ -137,15 +139,15 @@ class DodoRuntime:
             self.shard_map.owner_of(key) if key is not None else 0)
         cfg = self.config
         lone = self.shard_map.lone
-        attempts = 1 if lone else cfg.shard_attempts
+        attempts = 1 if lone else SHARD_ATTEMPTS
         for attempt in range(attempts):
             cands = self._shard_candidates(sid)
             host = cands[attempt % len(cands)]
             try:
                 reply = yield from self._rpc_for(host).call(
                     (host, CMD_PORT), method, args,
-                    timeout=cfg.rpc_timeout_s,
-                    retries=cfg.rpc_retries if lone else 2,
+                    timeout=RPC_TIMEOUT_S,
+                    retries=RPC_RETRIES if lone else 2,
                     backoff_s=cfg.rpc_backoff_s,
                     backoff_jitter=cfg.rpc_backoff_jitter)
             except RpcTimeout:
@@ -162,7 +164,7 @@ class DodoRuntime:
                     if hint and hint != host:
                         self._shard_pref[sid] = hint
                     else:
-                        yield self.sim.timeout(cfg.rpc_timeout_s)
+                        yield self.sim.timeout(RPC_TIMEOUT_S)
                     continue
                 if reply.get("wrong_shard"):
                     self.stats.add("shard.wrong_shard")
@@ -225,6 +227,30 @@ class DodoRuntime:
         ``detach(persist=True)``, and a later ``mlookup`` finds it."""
         self._regions.pop(desc, None)
 
+    def _lost(self, desc: int, host: str, gone: bool) -> None:
+        """React to a failed access to ``desc``'s region on ``host``.
+        Section 3.1 drops every descriptor on the host; with elastic
+        caching on, a definitive rejection from a live host (``gone``
+        False) means only this region was evicted or migrated away, so
+        only ``desc`` goes."""
+        if not gone and self.config.cache.enabled:
+            self._regions.pop(desc, None)
+            self.stats.add("descriptors_dropped")
+        else:
+            self.drop_host(host)
+
+    def _install(self, key: RegionKey, length: int, fd: int, offset: int,
+                 region: dict) -> int:
+        """Enter a region the manager vouched for (its wire form) in the
+        descriptor table; returns the new descriptor."""
+        struct = RegionStruct.from_wire(region)
+        desc = self._next_desc
+        self._next_desc += 1
+        self._regions[desc] = RegionTableEntry(
+            descriptor=desc, key=key, length=length, backing_fd=fd,
+            backing_offset=offset, remote=struct)
+        return desc
+
     def drop_host(self, host: str) -> int:
         """Drop every descriptor for regions on ``host`` (Section 3.1:
         the library's reaction to any access failure on that node)."""
@@ -286,12 +312,7 @@ class DodoRuntime:
                 if span is not None:
                     span.tag("err", "enomem")
                 return -1, ENOMEM
-            struct = RegionStruct.from_wire(reply["region"])
-            desc = self._next_desc
-            self._next_desc += 1
-            self._regions[desc] = RegionTableEntry(
-                descriptor=desc, key=key, length=length, backing_fd=fd,
-                backing_offset=offset, remote=struct)
+            desc = self._install(key, length, fd, offset, reply["region"])
             self.stats.add("mopen.ok")
             return desc, 0
         finally:
@@ -326,12 +347,7 @@ class DodoRuntime:
                 if span is not None:
                     span.tag("err", "enomem")
                 return -1, ENOMEM
-            struct = RegionStruct.from_wire(reply["region"])
-            desc = self._next_desc
-            self._next_desc += 1
-            self._regions[desc] = RegionTableEntry(
-                descriptor=desc, key=key, length=length, backing_fd=fd,
-                backing_offset=offset, remote=struct)
+            desc = self._install(key, length, fd, offset, reply["region"])
             self.stats.add("mlookup.hit")
             return desc, 0
         finally:
@@ -358,11 +374,10 @@ class DodoRuntime:
         span = self._span("mread", {"desc": desc, "bytes": length,
                                     "host": struct.host})
         try:
-            reply_sock = self.endpoint.socket(
-                recvbuf=self.config.data_recvbuf_bytes)
+            reply_sock = self.endpoint.socket()
             receiver = self.sim.process(recv_bulk(
                 reply_sock, first_timeout=self._transfer_timeout(length),
-                params=self.config.bulk, close_socket=True, pregranted=True))
+                close_socket=True, pregranted=True))
             # The read request carries our receive-buffer grant, so the imd
             # blasts without a separate negotiation round-trip.  The RPC
             # reply only matters on the failure path (bad region / daemon
@@ -392,14 +407,8 @@ class DodoRuntime:
                 result = yield receiver
                 failed = result is None
             if failed:
-                if rejected and self.config.cache.enabled:
-                    # a definitive negative reply: the host is alive but
-                    # this region is gone (evicted or migrated away) —
-                    # invalidate only this descriptor, not the host
-                    self._regions.pop(desc, None)
-                    self.stats.add("descriptors_dropped")
-                else:
-                    self.drop_host(struct.host)
+                # a negative reply (``rejected``) comes from a live host
+                self._lost(desc, struct.host, gone=not rejected)
                 self.stats.add("mread.enomem")
                 if span is not None:
                     span.tag("err", "enomem")
@@ -454,13 +463,7 @@ class DodoRuntime:
                     span.tag("err", "eio")
                 return -1, EIO
             if not remote_ok:
-                if remote_ok is None and self.config.cache.enabled:
-                    # host alive, region evicted/migrated: this
-                    # descriptor alone is stale
-                    self._regions.pop(desc, None)
-                    self.stats.add("descriptors_dropped")
-                else:
-                    self.drop_host(entry.remote.host)
+                self._lost(desc, entry.remote.host, gone=remote_ok is False)
                 self.stats.add("mwrite.enomem")
                 if span is not None:
                     span.tag("err", "enomem")
@@ -481,6 +484,8 @@ class DodoRuntime:
 
     def _remote_write(self, struct: RegionStruct, offset: int, length: int,
                       data: Optional[bytes]):
+        """True once the bytes landed; None when the live host rejected
+        the write (the region is gone); False when the host failed."""
         try:
             req = {"region_id": struct.pool_offset, "offset": offset,
                    "length": length}
@@ -493,8 +498,7 @@ class DodoRuntime:
             try:
                 yield self.sim.process(send_bulk(
                     sock, (struct.host, int(reply["data_port"])), length,
-                    data=data, params=self.config.bulk,
-                    window=reply.get("window")))
+                    data=data, window=reply.get("window")))
             finally:
                 sock.close()
             return True
@@ -525,11 +529,7 @@ class DodoRuntime:
             ok = yield self.sim.process(self._remote_write(
                 entry.remote, offset, length, data))
             if not ok:
-                if ok is None and self.config.cache.enabled:
-                    self._regions.pop(desc, None)
-                    self.stats.add("descriptors_dropped")
-                else:
-                    self.drop_host(entry.remote.host)
+                self._lost(desc, entry.remote.host, gone=ok is False)
                 if span is not None:
                     span.tag("err", "enomem")
                 return -1, ENOMEM
@@ -609,8 +609,7 @@ class DodoRuntime:
     def _transfer_timeout(self, length: int) -> float:
         """Patience for a bulk transfer: control timeout plus worst-case
         wire time at a very conservative 1 MB/s."""
-        return self.config.rpc_timeout_s * self.config.rpc_retries \
-            + length / 1e6 + 1.0
+        return RPC_TIMEOUT_S * RPC_RETRIES + length / 1e6 + 1.0
 
     def _imd_call_quiet(self, struct: RegionStruct, method: str, args: dict,
                         data_bytes: int = 0):
@@ -625,13 +624,8 @@ class DodoRuntime:
 
     def _imd_call(self, struct: RegionStruct, method: str, args: dict,
                   data_bytes: int = 0):
-        sock = self.endpoint.socket()
-        rpc = RpcClient(sock)
-        try:
-            reply = yield from rpc.call(
-                (struct.host, IMD_PORT), method, args,
-                timeout=self._transfer_timeout(data_bytes),
-                retries=self.config.rpc_retries)
-            return reply
-        finally:
-            sock.close()
+        """Generator: one call to the imd hosting ``struct``, patient
+        enough for ``data_bytes`` of transfer."""
+        return rpc.call(self.endpoint, (struct.host, IMD_PORT), method, args,
+                        timeout=self._transfer_timeout(data_bytes),
+                        retries=RPC_RETRIES)

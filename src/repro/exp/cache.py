@@ -48,23 +48,6 @@ ABLATION_POLICIES = ("none", "lru", "lfu", "clock", "cost-aware")
 REGION_BYTES = 64 * 1024
 
 
-def _cache_config(policy: str, migration: bool,
-                  migrate_max_bytes: int = 2 * MB) -> CacheConfig:
-    """Build the ``DodoConfig.cache`` block for one ablation cell.
-
-    Migration piggybacks on the policy's heat tracking (the manager
-    migrates *hot-first*), so it requires an active policy; asking for
-    ``migration=True`` with ``policy="none"`` is a contradiction and
-    raises :class:`ValueError` rather than silently doing nothing.
-    """
-    if migration and policy == "none":
-        raise ValueError(
-            "cache migration needs an eviction policy for heat tracking "
-            "(policy='none' disables the cache subsystem entirely)")
-    return CacheConfig(policy=policy, migration=migration,
-                       migrate_max_bytes=migrate_max_bytes)
-
-
 def run_cache(policy: str = "none", migration: bool = False,
               workload: str = "nondedicated", seed: int = 9,
               num_iter: int = 6) -> dict:
@@ -79,7 +62,9 @@ def run_cache(policy: str = "none", migration: bool = False,
     if workload not in CACHE_WORKLOADS:
         raise ValueError(f"unknown cache workload {workload!r}, "
                          f"expected one of {CACHE_WORKLOADS}")
-    cache_cfg = _cache_config(policy, migration)
+    # CacheConfig refuses migration without a policy to order it by heat
+    cache_cfg = CacheConfig(policy=policy, migration=migration,
+                            migrate_max_bytes=2 * MB)
     if workload == "nondedicated":
         return _run_nondedicated_cell(cache_cfg, seed, num_iter)
     return _run_fig7_cell(cache_cfg, seed, num_iter)

@@ -43,6 +43,7 @@ from typing import Optional
 
 from repro.faults.generate import random_plan
 from repro.faults.plan import FaultPlan
+from repro.workloads.app import SyntheticRunner
 
 EXPERIMENTS = ("fig7", "nondedicated", "failover")
 
@@ -56,7 +57,7 @@ HARDENING = dict(rpc_backoff_s=0.02, rpc_backoff_jitter=0.25,
                  imd_reregister_s=2.0)
 
 
-class ChaosRunner:
+class ChaosRunner(SyntheticRunner):
     """A fault-tolerant synthetic runner that measures its data path.
 
     Under injected faults the Dodo data path may fail outright (manager
@@ -74,11 +75,8 @@ class ChaosRunner:
 
     def __init__(self, platform, params, use_dodo: bool = True,
                  policy: str = "lru"):
-        from repro.workloads.app import SyntheticRunner
-        self._inner = SyntheticRunner(platform, params, use_dodo=use_dodo,
-                                      policy=policy)
+        super().__init__(platform, params, use_dodo=use_dodo, policy=policy)
         self._sim = platform.sim
-        self.cache = self._inner.cache
         self.degraded = 0
         self.latencies_s: list[float] = []
         self.local_reads = 0
@@ -87,9 +85,6 @@ class ChaosRunner:
         self.fetches = 0
         self.refetches = 0
         self._fetched: set[int] = set()
-        # route every request through the degrading read below
-        self._inner._read = self._read
-        self.run = self._inner.run
 
     def _classify(self, ridx: int, before: dict) -> None:
         stats = self.cache.stats
@@ -108,33 +103,27 @@ class ChaosRunner:
 
     def _degrade(self, offset: int, length: int, t0: float):
         self.degraded += 1
-        inner = self._inner
-        yield inner.fs.read(inner.fh, offset, length)
+        yield self.fs.read(self.fh, offset, length)
         self.latencies_s.append(self._sim.now - t0)
 
     def _read(self, offset: int, length: int):
-        inner = self._inner
         t0 = self._sim.now
-        if not inner.use_dodo:
-            yield inner.fs.read(inner.fh, offset, length)
+        if not self.use_dodo:
+            yield self.fs.read(self.fh, offset, length)
             self.latencies_s.append(self._sim.now - t0)
             self.disk_reads += 1
             return
-        ridx = offset // inner.region_bytes
-        crd = inner._crds.get(ridx)
-        if crd is None:
-            crd, err = yield from self.cache.copen(
-                inner.region_bytes, inner.fh.fd, ridx * inner.region_bytes)
-            if err != 0:
-                yield from self._degrade(offset, length, t0)
-                return
-            inner._crds[ridx] = crd
+        ridx = offset // self.region_bytes
+        crd, err = yield from self._region(ridx)
+        if err != 0:
+            yield from self._degrade(offset, length, t0)
+            return
         stats = self.cache.stats
         before = {k: stats.count(k)
                   for k in ("cread.local_hits", "cread.remote_hits",
                             "cread.disk_reads")}
         _, err, _ = yield from self.cache.cread(
-            crd, offset - ridx * inner.region_bytes, length)
+            crd, offset - ridx * self.region_bytes, length)
         if err != 0:
             yield from self._degrade(offset, length, t0)
             return

@@ -229,8 +229,7 @@ class Nemesis:
             elif targets.shard_map.lone:
                 cmd_hosts.append(targets.shard_map.primary(sid))
         yield from notify_busy(ws.endpoint(targets.config.transport),
-                               targets.config, ws.name, cmd_hosts,
-                               self.stats)
+                               ws.name, cmd_hosts, self.stats)
 
     def _do_disk_slowdown(self, ev):
         ws = self.targets.cluster[ev.target]
@@ -278,21 +277,22 @@ class Nemesis:
         return heal
 
     def _replace_backup(self, sid, victim):
+        from repro.core.config import REPL_HEARTBEAT_S, REPL_PROMOTE_MISSES
         from repro.core.manager import CentralManager
-        cfg = self.targets.config
         # wait (bounded) for the backup's heartbeat watcher to promote
-        deadline = self.sim.now + 10.0 * cfg.repl_heartbeat_s \
-            * max(cfg.repl_promote_misses, 1)
+        deadline = self.sim.now + 10.0 * REPL_HEARTBEAT_S \
+            * REPL_PROMOTE_MISSES
         while self.targets.live_primary(sid) is None \
                 and self.sim.now < deadline:
-            yield self.sim.timeout(cfg.repl_heartbeat_s)
+            yield self.sim.timeout(REPL_HEARTBEAT_S)
         primary = self.targets.live_primary(sid)
         if primary is None:
             self.stats.add("promotion_timeouts")
             return
         backup = CentralManager(
-            self.sim, victim.ws, cfg, incarnation=primary.incarnation,
-            shard_id=sid, shard_map=primary.shard_map, role="backup")
+            self.sim, victim.ws, self.targets.config,
+            incarnation=primary.incarnation, shard_id=sid,
+            shard_map=primary.shard_map, role="backup")
         self.targets.shard_managers[sid].append(backup)
         self.stats.add("backup_respawns")
         yield from backup.resync()

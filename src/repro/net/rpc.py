@@ -132,6 +132,18 @@ class RpcClient:
                 tracer.end(self.sim, span)
 
 
+def call(endpoint, dst: tuple[str, int], method: str,
+         args: Optional[dict] = None, **kw):
+    """Generator: one :meth:`RpcClient.call` from a fresh socket on
+    ``endpoint``, closed however the call ends.  ``kw`` are the call's
+    keyword options (``timeout``, ``retries``, ``backoff_s``, ...)."""
+    sock = endpoint.socket()
+    try:
+        return (yield from RpcClient(sock).call(dst, method, args, **kw))
+    finally:
+        sock.close()
+
+
 class RpcServer:
     """Dispatches incoming requests on a socket to named handlers.
 

@@ -334,9 +334,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> "Event":
         return AllOf(self, list(events))
 
-    def any_of(self, events: Iterable[Event]) -> "Event":
-        return AnyOf(self, list(events))
-
     # -- scheduling --------------------------------------------------------
     def _schedule(self, when: float, event: Event) -> None:
         """Queue a triggered ``event`` for time ``when >= now``: on the
@@ -650,4 +647,4 @@ def _stop_run(evt: Event) -> None:
 
 # process.py subclasses Event and imports this module, so its classes are
 # bound here, once, after everything they need is defined (not per spawn)
-from repro.sim.process import AllOf, AnyOf, Process  # noqa: E402
+from repro.sim.process import AllOf, Process  # noqa: E402

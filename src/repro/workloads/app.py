@@ -87,18 +87,26 @@ class SyntheticRunner:
         result.elapsed_s = sim.now - start
         return result
 
-    def _read(self, offset: int, length: int):
-        if not self.use_dodo:
-            yield self.fs.read(self.fh, offset, length)
-            return
-        ridx = offset // self.region_bytes
+    def _region(self, ridx: int):
+        """Generator: ``(crd, errno)`` of region ``ridx``, opened on its
+        first touch."""
         crd = self._crds.get(ridx)
         if crd is None:
             crd, err = yield from self.cache.copen(
                 self.region_bytes, self.fh.fd, ridx * self.region_bytes)
             if err != 0:
-                raise RuntimeError(f"copen failed: errno {err}")
+                return crd, err
             self._crds[ridx] = crd
+        return crd, 0
+
+    def _read(self, offset: int, length: int):
+        if not self.use_dodo:
+            yield self.fs.read(self.fh, offset, length)
+            return
+        ridx = offset // self.region_bytes
+        crd, err = yield from self._region(ridx)
+        if err != 0:
+            raise RuntimeError(f"copen failed: errno {err}")
         n, err, _ = yield from self.cache.cread(
             crd, offset - ridx * self.region_bytes, length)
         if err != 0:

@@ -167,10 +167,6 @@ class Apriori:
                         cands.add(cand)
         return cands
 
-    def passes_needed(self) -> int:
-        """Number of dataset scans Apriori will make (for trace gen)."""
-        return self.params.max_itemset_len
-
     def run(self, scan_factory) -> dict[int, dict[tuple, int]]:
         """Plain (non-simulated) driver: ``scan_factory()`` returns a
         fresh block iterator per pass.  Used by tests as the reference."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import DodoConfig, IdleMemoryDaemon
+from repro.core.config import COALESCE_INTERVAL_S
 from repro.cluster.workstation import MB, Workstation
 from repro.net import Network
 from repro.sim import Simulator
@@ -32,11 +33,11 @@ def test_pool_sized_from_recruitable_memory(sim):
     net = Network(sim)
     ws = Workstation(sim, "h", net, total_mem_bytes=64 * MB)
     cfg = DodoConfig(max_pool_bytes=1024 * MB)  # cap far above recruitable
-    before = ws.recruitable_memory(cfg.headroom_fraction)
+    before = ws.recruitable_memory()
     imd = IdleMemoryDaemon(sim, ws, cfg, epoch=1)
     assert imd.pool_bytes == before  # pinned exactly the idle memory
     # after pinning, nothing further is recruitable (headroom preserved)
-    assert ws.recruitable_memory(cfg.headroom_fraction) == 0
+    assert ws.recruitable_memory() == 0
     assert ws.available_memory() >= 0
 
 
@@ -122,7 +123,7 @@ def test_coalescer_runs_periodically(sim):
     for off in offs:
         imd.allocator.free(off)
     assert imd.allocator.largest_free() < imd.allocator.pool_size
-    sim.run(until=imd.config.coalesce_interval_s + 1.0)
+    sim.run(until=COALESCE_INTERVAL_S + 1.0)
     assert imd.allocator.largest_free() == imd.allocator.pool_size
 
 

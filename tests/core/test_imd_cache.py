@@ -120,3 +120,13 @@ def test_pinned_region_never_evicted(sim):
     c = alloc(imd, half)
     assert c["ok"]
     assert a["region_id"] in imd._regions  # survived: the other went
+
+
+def test_migration_without_a_policy_is_refused_at_construction():
+    """Migration moves regions hottest first, by the policy's heat: with
+    no policy the config refuses it, rather than building a manager
+    that never migrates beside imds that all serve ``migrate``."""
+    with pytest.raises(ValueError,
+                       match="migration needs an eviction policy"):
+        CacheConfig(migration=True)
+    assert CacheConfig(policy="lru", migration=True).enabled

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from repro.core import CentralManager, DodoConfig
 from repro.core import manager as manager_module
-from repro.core.manager import (IdleDirectory, IwdEntry, _unwire_key,
-                                _wire_key)
+from repro.core.config import CacheConfig
+from repro.core.manager import (ClientState, IdleDirectory, IwdEntry,
+                                RdEntry, _unwire_key, _wire_key)
 from repro.core.descriptors import RegionKey, RegionStruct
+from repro.core.shard import ShardInfo, ShardMap
 from repro.cluster.workstation import MB, Workstation
 from repro.net import Network
 from repro.net.rpc import RpcTimeout
@@ -64,7 +66,6 @@ def test_check_alloc_miss(cmd):
 
 def seed_region(cmd, host="w0", epoch=1, inode=5, offset=0, length=4096,
                 owner="app#1"):
-    from repro.core.manager import RdEntry
     cmd.iwd[host] = IwdEntry(host=host, epoch=epoch, largest_free=1 * MB,
                              port=6001)
     key = RegionKey(inode, offset)
@@ -174,6 +175,83 @@ def test_stop_halts_keepalive_and_server(sim, cmd):
     assert not cmd._keepalive.is_alive
 
 
+def test_migration_drops_entries_a_refused_destination_evicted(sim):
+    """A destination imd may evict regions trying to make room and still
+    refuse the migration's alloc: the directory must forget the evicted
+    regions, as ``_h_alloc`` does, or it vouches for unbacked memory."""
+    ws = Workstation(sim, "mgr", Network(sim))
+    cmd = CentralManager(sim, ws, DodoConfig(
+        store_payload=False,
+        cache=CacheConfig(policy="lru", migration=True)))
+    hot = seed_region(cmd, host="w0", inode=1)
+    cold = seed_region(cmd, host="w1", inode=2)
+    calls = []
+
+    def fake_imd_call(iwd, method, args):
+        calls.append((iwd.host, method))
+        yield from ()
+        return {"ok": False, "reason": "no space", "evicted": [0],
+                "largest_free": 0}
+
+    cmd._imd_call = fake_imd_call
+    moved = sim.run(until=sim.process(cmd._migrate_one(
+        cmd.iwd["w0"], hot, 0, 4096, heat=3)))
+    assert moved is False
+    assert calls == [("w1", "alloc")]
+    assert cold not in cmd.rd
+    assert hot in cmd.rd
+    assert cmd.stats.count("cache.entries_evicted") == 1
+
+
+def test_snapshot_round_trip_rebuilds_the_directory(sim):
+    """A backup that installs the primary's snapshot holds the primary's
+    rd, clients and IWD, in the same order and with the same index, and
+    so does a backup that replayed the shipped log from empty."""
+    smap = ShardMap([ShardInfo(0, "mgr", "bak")])
+    net = Network(sim)
+    cfg = DodoConfig(store_payload=False)
+    primary = CentralManager(sim, Workstation(sim, "mgr", net), cfg,
+                             shard_map=smap, peer="bak")
+    backups = [CentralManager(sim, Workstation(sim, name, net), cfg,
+                              shard_map=smap, role="backup")
+               for name in ("bak", "bak2")]
+    # every table in sorted order, so the primary's own order is the
+    # snapshot's; deletes and a re-registration exercise the log
+    for host, epoch, free in (("w0", 1, 4096), ("w1", 2, 1 * MB),
+                              ("w2", 1, 0), ("w3", 1, 8192)):
+        primary._iwd_set(IwdEntry(host, epoch, free, 6001))
+    primary._iwd_set(IwdEntry("w1", 3, 100, 6001))
+    primary._iwd_del("w3")
+    for cid, port in (("app#1", 11), ("app#2", 12), ("app#3", 13)):
+        primary._client_set(cid, ClientState(addr="app", echo_port=port,
+                                             last_echo=sim.now))
+    primary._client_del("app#3")
+    for key, host, owner in ((RegionKey(1, 0), "w0", "app#1"),
+                             (RegionKey(1, 4096), "w1", None),
+                             (RegionKey(1, 4096, client="app#2"), "w1",
+                              "app#2"),
+                             (RegionKey(2, 0), "w2", "app#1"),
+                             (RegionKey(3, 0), "w0", None)):
+        primary._rd_set(key, RdEntry(struct=RegionStruct(
+            host=host, pool_offset=key.offset, length=4096, epoch=1,
+            gen=key.inode), owner=owner))
+    primary._rd_del(RegionKey(3, 0))
+
+    backups[0]._install_snapshot(primary._snapshot())
+    log = list(primary._repl_pending)
+    assert backups[1]._h_repl_apply(
+        {"seq_from": 0, "records": log}, SRC) == {"ok": True}
+
+    def tables(mgr):
+        return (list(mgr.rd.items()), list(mgr.clients.items()),
+                list(mgr.iwd.items()), list(mgr.iwd.index))
+
+    assert tables(backups[0]) == tables(primary)
+    assert tables(backups[1]) == tables(primary)
+    assert [e.owner for e in primary.rd.values()] \
+        == ["app#1", None, "app#2", "app#1"]
+
+
 # -- the IWD free-space index ---------------------------------------------------
 
 HOSTS = st.sampled_from([f"w{i}" for i in range(6)])
@@ -200,19 +278,17 @@ class ScanDirectory(IdleDirectory):
 
 
 class FakeImds:
-    """Stands in for ``RpcClient`` so imd calls answer at once.  Hosts in
-    ``dead`` never answer; the others piggyback a free-space hint, and
-    refuse some allocations, as a pure function of the call."""
+    """Stands in for ``rpc.call``, the manager's one way to call an imd,
+    so imd calls answer at once.  Hosts in ``dead`` never answer; the
+    others piggyback a free-space hint, and refuse some allocations, as
+    a pure function of the call."""
 
     def __init__(self, dead):
         self.dead = dead
         self.allocs = []
 
-    def __call__(self, sock):
-        return self
-
-    def call(self, addr, method, args, **_):
-        host = addr[0]
+    def __call__(self, endpoint, dst, method, args, **_):
+        host = dst[0]
         if method == "alloc":
             self.allocs.append(host)
         if host in self.dead:
@@ -251,7 +327,9 @@ def _iwd_step(cmd, op, step, imds):
         cmd._apply_record(["iwd_del", arg])
     elif kind == "snapshot":
         snap = cmd._snapshot()
-        snap["iwd"] = [[h, step, free, 6001] for h, free in arg]
+        snap["records"] = [r for r in snap["records"] if r[0] != "iwd_set"]
+        snap["records"] += [["iwd_set", [h, step, free, 6001]]
+                            for h, free in arg]
         cmd._install_snapshot(snap)
     else:
         imds.allocs.clear()
@@ -274,7 +352,7 @@ def test_iwd_index_matches_rebuild_and_scan_placement(ops, dead):
     manager that scans every entry."""
     imds = FakeImds(dead)
     cmd, ref = _make_cmd(), _make_cmd()
-    with mock.patch.object(manager_module, "RpcClient", imds):
+    with mock.patch.object(manager_module.rpc, "call", imds):
         for step, op in enumerate(ops, 1):
             if type(ref.iwd) is not ScanDirectory:  # built or re-installed
                 ref.iwd = ScanDirectory(ref.iwd.items())
@@ -284,6 +362,30 @@ def test_iwd_index_matches_rebuild_and_scan_placement(ops, dead):
                 (e.largest_free, h) for h, e in cmd.iwd.items())
             assert list(cmd.iwd.items()) == list(ref.iwd.items())
             assert got == want
+
+
+def test_iwd_property_fake_imds_answer():
+    """The property test above only tests placement if its fake imds
+    answer: an alloc reaches the fake and places on the host it answers
+    for, with the fake's piggybacked hint, and a dead host's timeout
+    drops that host from the IWD."""
+    alive = FakeImds(dead=set())
+    cmd = _make_cmd()
+    with mock.patch.object(manager_module.rpc, "call", alive):
+        _iwd_step(cmd, ("register", "w0", 1 * MB), 1, alive)
+        reply, tried = _iwd_step(cmd, ("alloc", 100), 2, alive)
+    assert tried == ["w0"]
+    assert reply["ok"] and reply["region"]["host"] == "w0"
+    assert cmd.iwd["w0"].largest_free == zlib.crc32(b"w0/100") % 5 * 4096
+
+    dead = FakeImds(dead={"w1"})
+    cmd = _make_cmd()
+    with mock.patch.object(manager_module.rpc, "call", dead):
+        _iwd_step(cmd, ("register", "w1", 1 * MB), 1, dead)
+        reply, tried = _iwd_step(cmd, ("alloc", 4096), 2, dead)
+    assert tried == ["w1"]
+    assert not reply["ok"] and "w1" not in cmd.iwd
+    assert cmd.stats.count("imd.dead") == 1
 
 
 def test_iwd_rejects_writes_that_bypass_the_index():

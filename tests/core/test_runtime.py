@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import EINVAL, ENOMEM, DodoConfig
+from repro.core.config import KEEPALIVE_INTERVAL_S, KEEPALIVE_THRESHOLD_S
 from repro.sim import Simulator
 
 from repro.testing import make_backing_file, make_platform, run
@@ -282,9 +283,8 @@ def test_keepalive_reclaims_crashed_client(sim, platform):
 
     run(sim, proc())
     assert sum(i.allocator.used_bytes for i in platform.imds) > 0
-    cfg = platform.config
-    sim.run(until=sim.now + cfg.keepalive_threshold_s
-            + 4 * cfg.keepalive_interval_s)
+    sim.run(until=sim.now + KEEPALIVE_THRESHOLD_S
+            + 4 * KEEPALIVE_INTERVAL_S)
     assert sum(i.allocator.used_bytes for i in platform.imds) == 0
     assert platform.cmd.stats.count("clients_expired") == 1
 

@@ -1,4 +1,5 @@
-"""Source hygiene: docstring coverage, unused imports, markdown links.
+"""Source hygiene: docstring coverage, unused imports, markdown links,
+config fields nobody sets.
 
 These mirror the CI ``docs`` job so a regression fails locally first.
 The linters live in ``tools/`` and are plain scripts; the tests import
@@ -33,6 +34,11 @@ def test_no_unused_imports():
 def test_markdown_links_resolve():
     broken = _load("check_links").check()
     assert broken == [], "\n".join(broken)
+
+
+def test_every_config_field_is_set_somewhere():
+    unset = _load("check_config_fields").check()
+    assert unset == [], f"config fields no caller sets: {unset}"
 
 
 def test_api_doc_covers_new_subsystems():
